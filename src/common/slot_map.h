@@ -122,15 +122,6 @@ class SlotMap {
     return handle;
   }
 
-  // Hints the prefetcher at a handle's metadata and value lines: callers
-  // that stage a handle for imminent dispatch overlap the (often cold)
-  // loads with their staging bookkeeping.
-  void Prefetch(SlotHandle handle) {
-    if (handle.slot >= meta_.size()) return;
-    __builtin_prefetch(&meta_[handle.slot]);
-    __builtin_prefetch(Value(handle.slot));
-  }
-
   // The value for a live handle; nullptr when the handle is stale (its slot
   // was released, possibly re-acquired by a newer tenant) or empty.
   [[nodiscard]] T* Get(SlotHandle handle) {

@@ -4,6 +4,9 @@
 // ScheduleAt/Cancel/Step cycle must run without touching the heap
 // allocator. A single allocation here is a lost property, not a slowdown —
 // fail loudly.
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "event/scheduler.h"
@@ -64,44 +67,53 @@ TEST(SchedulerAllocTest, ScheduleCancelCycleIsAllocationFreeAfterWarmup) {
       << "schedule/cancel cycle allocated " << delta.bytes << " bytes";
 }
 
-TEST(SchedulerAllocTest, WheelSteadyStateWithCascadesIsAllocationFree) {
-  // Delays spread across all three wheel levels: every round exercises
-  // level-1/2 inserts and the cascades that bring them down. Cascading
-  // relinks pooled nodes — it must never touch the allocator.
+TEST(SchedulerAllocTest, MixedDelaysWithHeapCompactionAreAllocationFree) {
+  // Near (microsecond) and far (hours) timers share the heap. Each round
+  // cancels 15 of every 16 before running the rest: past 7/8 tombstones
+  // on a heap of >= 64 entries, with live entries still in it, Cancel
+  // takes CompactIfStale's partial rebuild (filter + make_heap in place),
+  // not the all-dead clear. The rebuild must never touch the allocator.
   Scheduler scheduler;
   std::uint64_t fired = 0;
-  const auto schedule_spread = [&] {
+  std::vector<EventHandle> handles;
+  handles.reserve(256);
+  const auto round = [&] {
+    handles.clear();
     for (int i = 0; i < 256; ++i) {
-      const std::int64_t delay = 1 + (static_cast<std::int64_t>(i) * 131) %
-                                         5'000'000;  // up to level 2
-      scheduler.ScheduleAfter(SimDuration::Micros(delay),
-                              [&fired] { ++fired; });
+      // Blocks of 16 alternate near (hop ACK/RTO scale) and far (1-3 h),
+      // so the survivors below are a mix of both.
+      const bool far = (i / 16) % 2 == 1;
+      const std::int64_t delay =
+          far ? (1 + i % 3) * std::int64_t{3'600'000'000} : 1 + i % 2000;
+      handles.push_back(scheduler.ScheduleAfter(SimDuration::Micros(delay),
+                                                [&fired] { ++fired; }));
     }
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      if (i % 16 != 0) scheduler.Cancel(handles[i]);
+    }
+    scheduler.Run();
   };
-  schedule_spread();
-  scheduler.Run();
+  round();
 
   AllocProbe probe;
-  for (int round = 0; round < 100; ++round) {
-    schedule_spread();
-    scheduler.Run();
-  }
+  for (int r = 0; r < 100; ++r) round();
   const auto delta = probe.delta();
   EXPECT_EQ(delta.allocations, 0u)
-      << "cascading schedule/run cycle allocated " << delta.bytes << " bytes";
-  EXPECT_EQ(fired, 256u * 101u);
+      << "mixed-delay schedule/cancel/compact/run cycle allocated "
+      << delta.bytes << " bytes";
+  EXPECT_EQ(fired, 16u * 101u);
 }
 
 TEST(SchedulerAllocTest, RearmChainIsAllocationFreeAfterWarmup) {
   // The HopTransport timer idiom: RearmCurrentAfter reuses the action slot
-  // and a recycled wheel node, so a periodic timer never allocates after
-  // its first arming.
+  // and pushes into heap capacity the first arming grew, so a periodic
+  // timer never allocates after its first arming.
   Scheduler scheduler;
   int fired = 0;
   scheduler.ScheduleAfter(SimDuration::Micros(100), [&] {
     if (++fired < 3) scheduler.RearmCurrentAfter(SimDuration::Micros(3000));
   });
-  scheduler.Run();  // warm-up: slab slot + wheel node exist now
+  scheduler.Run();  // warm-up: slab slot + heap capacity exist now
   ASSERT_EQ(fired, 3);
 
   AllocProbe probe;

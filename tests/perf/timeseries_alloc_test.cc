@@ -39,8 +39,8 @@ TEST(TimeSeriesAllocTest, SamplingIsAllocationFreeAfterConstruction) {
         out = health_model;  // same size: copies in place, no allocation
       });
 
-  // Warm-up: the chain schedules its next event while the current wheel
-  // node is still in flight, so the node pool grows to two on the first
+  // Warm-up: the chain schedules its next event while the current action
+  // is still in flight, so the action slab grows to two slots on the first
   // firing — a one-time cost, like the scheduler tests' warm-up rounds.
   scheduler.RunUntil(SimTime::FromMicros(2 * 1000000LL));
 
