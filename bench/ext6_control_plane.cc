@@ -13,6 +13,7 @@
 
 #include "common/flags.h"
 #include "dcrd/distributed_dr.h"
+#include "figure_common.h"
 #include "graph/topology.h"
 #include "net/link_monitor.h"
 #include "sim/bench_json.h"
@@ -28,14 +29,15 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.GetInt("degree", 8));
   const double threshold_us = flags.GetDouble("threshold_us", 50.0);
   const std::int64_t e2e_seconds = flags.GetInt("seconds", 300);
-  const int jobs =
-      dcrd::ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0)));
+  // --shards and the observability flags apply to the end-to-end section
+  // (the gossip-only section drives the scheduler directly and has no
+  // scenario engine to shard or trace).
+  dcrd::figures::FigureScale scale;
+  dcrd::figures::ParseEngineFlags(flags, scale);
+  const int jobs = dcrd::CapJobsForShards(
+      dcrd::ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0))),
+      scale.shards);
   const std::string bench_json = flags.GetString("bench_json", "");
-  // Observability knobs for the end-to-end section (the gossip-only section
-  // drives the scheduler directly and has no scenario engine to trace).
-  const bool trace = flags.GetBool("trace", false);
-  const std::string trace_out = flags.GetString("trace_out", "");
-  const std::string metrics_json = flags.GetString("metrics_json", "");
   flags.ExitOnUnqueried();
   std::cerr << "jobs=" << jobs << "\n";
   const auto append_bench = [&](const std::string& stem,
@@ -130,16 +132,12 @@ int main(int argc, char** argv) {
           config.loss_rate = 1e-4;
           config.sim_time = dcrd::SimDuration::Seconds(e2e_seconds);
           config.seed = 1 + static_cast<std::uint64_t>(rep);
-          config.trace = trace || !trace_out.empty();
-          const std::string cell = std::string("ext6_control_plane.") +
-                                   (distributed ? "gossip" : "solver") +
-                                   ".rep" + std::to_string(rep);
-          if (!trace_out.empty()) {
-            config.trace_out = trace_out + "." + cell + ".jsonl";
-          }
-          if (!metrics_json.empty()) {
-            config.metrics_json = metrics_json + "." + cell + ".json";
-          }
+          config.shards = scale.shards;
+          dcrd::figures::ApplyObservability(
+              scale, "ext6_control_plane",
+              std::string(distributed ? "gossip" : "solver") + ".rep" +
+                  std::to_string(rep),
+              config);
           return config;
         },
         &stats);

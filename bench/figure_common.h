@@ -20,9 +20,11 @@
 //   --trace_out P    stream each cell's full trace to
 //                    P.<stem>.<cell>.jsonl (implies --trace); inspect with
 //                    tools/dcrd_trace
-//   --metrics_json P write each cell's metrics registry to
-//                    P.<stem>.<cell>.json (works at any --shards count;
-//                    per-shard registries merge at join)
+//   --metrics_json P sample each cell's metrics registry once per
+//                    monitoring epoch into P.<stem>.<cell>.json — the
+//                    --timeseries document ("dcrd-timeseries-v1") at
+//                    epoch cadence; render with tools/dcrd_trace
+//                    --timeseries. Works at any --shards count
 //   --timeseries P   sample each cell's metrics registry every simulated
 //                    second into a columnar time series — counter deltas,
 //                    gauge levels, histogram raw-bucket deltas, per-broker
@@ -45,7 +47,8 @@
 // Observability never touches stdout or any RNG stream, so the figure
 // tables stay byte-identical with or without it (determinism_check.sh
 // verifies). Per-cell file names keep parallel sweep workers from writing
-// over each other.
+// over each other. Binaries with their own scale (examples/dcrdsim, ext6)
+// take --shards and these flags through ParseEngineFlags.
 //
 // Default scale is reduced (2 repetitions x 600 simulated seconds) so the
 // whole bench suite finishes in minutes; the series' *shape* is already
@@ -104,6 +107,19 @@ inline std::vector<RouterKind> ParseRouters(const std::string& csv) {
   return routers;
 }
 
+// Reads --shards and the observability flags (--trace, --trace_out,
+// --metrics_json, --timeseries, --delay_audit, --shard_profile) into
+// `scale`; ApplyObservability turns them into one cell's config fields.
+inline void ParseEngineFlags(const Flags& flags, FigureScale& scale) {
+  scale.shards = std::max(1, static_cast<int>(flags.GetInt("shards", 1)));
+  scale.trace = flags.GetBool("trace", false);
+  scale.trace_out = flags.GetString("trace_out", "");
+  scale.metrics_json = flags.GetString("metrics_json", "");
+  scale.timeseries = flags.GetString("timeseries", "");
+  scale.delay_audit = flags.GetString("delay_audit", "");
+  scale.shard_profile = flags.GetString("shard_profile", "");
+}
+
 inline FigureScale ParseScale(const Flags& flags) {
   FigureScale scale;
   if (flags.GetBool("paper", false)) {
@@ -120,20 +136,13 @@ inline FigureScale ParseScale(const Flags& flags) {
     scale.routers = ParseRouters(flags.GetString("routers", ""));
   }
   scale.csv_dir = flags.GetString("csv", "");
-  scale.shards =
-      std::max(1, static_cast<int>(flags.GetInt("shards", 1)));
+  ParseEngineFlags(flags, scale);
   // Compose the two parallelism layers: sweep cells x engine shards must
   // not oversubscribe the machine (CapJobsForShards warns on stderr only).
   scale.jobs = CapJobsForShards(
       ResolveJobCount(static_cast<int>(flags.GetInt("jobs", 0))),
       scale.shards);
   scale.bench_json = flags.GetString("bench_json", "");
-  scale.trace = flags.GetBool("trace", false);
-  scale.trace_out = flags.GetString("trace_out", "");
-  scale.metrics_json = flags.GetString("metrics_json", "");
-  scale.timeseries = flags.GetString("timeseries", "");
-  scale.delay_audit = flags.GetString("delay_audit", "");
-  scale.shard_profile = flags.GetString("shard_profile", "");
   return scale;
 }
 

@@ -10,39 +10,18 @@
 //   ./dcrdsim --all --load overlay.txt        # topology_tool edge list
 //   ./dcrdsim --router DCRD --distributed     # live <d,r> gossip control plane
 //   ./dcrdsim --router DCRD --broker_mtbf 60 --peer_death --check_invariants
+//   ./dcrdsim --router DCRD,R-Tree --shards 4 --timeseries /tmp/ts
+// --shards and the observability flags are bench/figure_common.h's; files
+// are named P.dcrdsim.<router>.<ext>.
 #include <iomanip>
 #include <iostream>
 
 #include "common/flags.h"
+#include "figure_common.h"
 #include "sim/engine.h"
 #include "sim/stats.h"
 
 namespace {
-
-const std::vector<std::string> kKnownFlags = {
-    "router",      "all",          "nodes",       "topology",
-    "degree",      "pf",           "pl",          "m",
-    "qos",         "topics",       "seconds",     "seed",
-    "outage_epochs", "node_pf",    "node_outage_epochs",
-    "serialization_ms", "persistence", "multipath_paths",
-    "monitor_s",   "rate",         "ack_delay_factor", "verbose",
-    "histogram",   "heterogeneity", "jitter",          "ordering",
-    "churn",       "load",          "distributed",
-    "gray",        "gray_loss",     "gray_delay_factor", "gray_asymmetry",
-    "adaptive_rto", "check_invariants",
-    "broker_mtbf", "broker_mttr",   "peer_death",  "peer_death_threshold",
-};
-
-dcrd::RouterKind ParseRouter(const std::string& name) {
-  if (name == "DCRD") return dcrd::RouterKind::kDcrd;
-  if (name == "R-Tree") return dcrd::RouterKind::kRTree;
-  if (name == "D-Tree") return dcrd::RouterKind::kDTree;
-  if (name == "ORACLE") return dcrd::RouterKind::kOracle;
-  if (name == "Multipath") return dcrd::RouterKind::kMultipath;
-  std::cerr << "unknown --router '" << name
-            << "' (DCRD, R-Tree, D-Tree, ORACLE, Multipath); using DCRD\n";
-  return dcrd::RouterKind::kDcrd;
-}
 
 void PrintSummary(const dcrd::ScenarioConfig& config,
                   const dcrd::RunSummary& summary, bool histogram) {
@@ -75,14 +54,6 @@ void PrintSummary(const dcrd::ScenarioConfig& config,
 
 int main(int argc, char** argv) {
   const dcrd::Flags flags = dcrd::Flags::Parse(argc, argv);
-  // Flags are read lazily below, so typo rejection uses the explicit
-  // allow-list rather than ExitOnUnqueried().
-  bool unknown_flags = false;
-  for (const std::string& unknown : flags.UnknownFlags(kKnownFlags)) {
-    std::cerr << "error: unknown flag --" << unknown << "\n";
-    unknown_flags = true;
-  }
-  if (unknown_flags) return 2;
   if (flags.GetBool("verbose", false)) {
     dcrd::GlobalLogLevel() = dcrd::LogLevel::kDebug;
   }
@@ -144,13 +115,20 @@ int main(int argc, char** argv) {
         dcrd::SimDuration::FromSecondsF(1.0 / flags.GetDouble("rate", 1.0));
   }
 
-  std::vector<dcrd::RouterKind> routers;
-  if (flags.GetBool("all", false)) {
-    routers = {dcrd::RouterKind::kDcrd, dcrd::RouterKind::kRTree,
-               dcrd::RouterKind::kDTree, dcrd::RouterKind::kOracle,
-               dcrd::RouterKind::kMultipath};
-  } else {
-    routers = {ParseRouter(flags.GetString("router", "DCRD"))};
+  dcrd::figures::FigureScale scale;
+  dcrd::figures::ParseEngineFlags(flags, scale);
+  config.shards = scale.shards;
+
+  const std::string router_list = flags.GetString("router", "DCRD");
+  const std::vector<dcrd::RouterKind> routers =
+      flags.GetBool("all", false) ? scale.routers  // all five
+                                  : dcrd::figures::ParseRouters(router_list);
+  const bool histogram = flags.GetBool("histogram", false);
+  flags.ExitOnUnqueried();
+  if (routers.empty()) {
+    std::cerr << "error: --router names no known router (DCRD, R-Tree, "
+                 "D-Tree, ORACLE, Multipath)\n";
+    return 2;
   }
 
   config.router = routers.front();
@@ -160,9 +138,10 @@ int main(int argc, char** argv) {
             << std::setw(14) << "pkts/sub" << std::setw(11) << "p50 ms"
             << std::setw(11) << "p95 ms" << std::setw(11) << "p99 ms"
             << "\n";
-  const bool histogram = flags.GetBool("histogram", false);
   for (const dcrd::RouterKind router : routers) {
     config.router = router;
+    dcrd::figures::ApplyObservability(scale, "dcrdsim",
+                                      dcrd::RouterName(router), config);
     PrintSummary(config, dcrd::RunScenario(config), histogram);
   }
   return 0;

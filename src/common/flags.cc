@@ -1,6 +1,5 @@
 #include "common/flags.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string_view>
@@ -103,17 +102,6 @@ void Flags::ExitOnUnqueried() const {
     DCRD_LOG(kError) << "unknown flag --" << name;
   }
   std::exit(2);
-}
-
-std::vector<std::string> Flags::UnknownFlags(
-    const std::vector<std::string>& known) const {
-  std::vector<std::string> unknown;
-  for (const auto& [name, value] : values_) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
-      unknown.push_back(name);
-    }
-  }
-  return unknown;
 }
 
 }  // namespace dcrd

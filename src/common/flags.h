@@ -43,9 +43,6 @@ class Flags {
   // clean pass it also Seal()s the flags, so the sweep pool and engine
   // shards that spin up next can never race a late flag read.
   void ExitOnUnqueried() const;
-  // Flags whose names are not in `known` (explicit allow-list variant).
-  [[nodiscard]] std::vector<std::string> UnknownFlags(
-      const std::vector<std::string>& known) const;
 
   // Declares configuration reading complete. Call right before the first
   // worker pool or engine shard spins up: any Has/Get* afterwards — even

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <ostream>
 
 #include "common/logging.h"
 
@@ -137,180 +136,6 @@ LogLinearHistogram* MetricsRegistry::AddHistogram(std::string name) {
   Histogram& histogram = histograms_.emplace_back();
   histogram.name = std::move(name);
   return &histogram.histogram;
-}
-
-void MetricsRegistry::SnapshotEpoch(SimTime t) {
-  Epoch& epoch = epochs_.emplace_back();
-  epoch.t_us = t.micros();
-  epoch.counters.reserve(counters_.size());
-  for (const Counter& counter : counters_) {
-    epoch.counters.push_back(counter.value());
-  }
-  epoch.gauges.reserve(gauges_.size());
-  for (const Gauge& gauge : gauges_) {
-    epoch.gauges.push_back(gauge.sample());
-  }
-}
-
-MetricsDoc MetricsRegistry::Collect() const {
-  MetricsDoc doc;
-  doc.epoch_t_us.reserve(epochs_.size());
-  for (const Epoch& epoch : epochs_) doc.epoch_t_us.push_back(epoch.t_us);
-  doc.counters.reserve(counters_.size());
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    MetricsDoc::Series& series = doc.counters.emplace_back();
-    series.name = counters_[i].name;
-    series.policy = counters_[i].policy;
-    series.final_value = counters_[i].value();
-    series.epochs.reserve(epochs_.size());
-    for (const Epoch& epoch : epochs_) {
-      series.epochs.push_back(epoch.counters[i]);
-    }
-  }
-  doc.gauges.reserve(gauges_.size());
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    MetricsDoc::Series& series = doc.gauges.emplace_back();
-    series.name = gauges_[i].name;
-    series.policy = gauges_[i].policy;
-    series.final_value = gauges_[i].sample();
-    series.epochs.reserve(epochs_.size());
-    for (const Epoch& epoch : epochs_) {
-      series.epochs.push_back(epoch.gauges[i]);
-    }
-  }
-  doc.histograms.reserve(histograms_.size());
-  for (const Histogram& histogram : histograms_) {
-    doc.histograms.push_back({histogram.name, histogram.histogram.Snapshot()});
-  }
-  return doc;
-}
-
-namespace {
-
-// Folds `from` into `into` per the series' merge policy. Replicated series
-// keep `into`'s (shard 0's) values untouched.
-void MergeSeries(MetricsDoc::Series& into, const MetricsDoc::Series& from) {
-  DCRD_CHECK(into.name == from.name && into.policy == from.policy &&
-             into.epochs.size() == from.epochs.size())
-      << "metric series disagree across shards: " << into.name;
-  if (into.policy == MergePolicy::kReplicated) return;
-  for (std::size_t e = 0; e < into.epochs.size(); ++e) {
-    into.epochs[e] += from.epochs[e];
-  }
-  into.final_value += from.final_value;
-}
-
-}  // namespace
-
-MetricsDoc MergeMetricsDocs(const std::vector<const MetricsDoc*>& docs) {
-  DCRD_CHECK(!docs.empty());
-  MetricsDoc merged = *docs.front();
-  for (std::size_t d = 1; d < docs.size(); ++d) {
-    const MetricsDoc& doc = *docs[d];
-    DCRD_CHECK(doc.epoch_t_us == merged.epoch_t_us)
-        << "epoch timestamps disagree across shards";
-    DCRD_CHECK(doc.counters.size() == merged.counters.size() &&
-               doc.gauges.size() == merged.gauges.size() &&
-               doc.histograms.size() == merged.histograms.size());
-    for (std::size_t i = 0; i < merged.counters.size(); ++i) {
-      MergeSeries(merged.counters[i], doc.counters[i]);
-    }
-    for (std::size_t i = 0; i < merged.gauges.size(); ++i) {
-      MergeSeries(merged.gauges[i], doc.gauges[i]);
-    }
-    for (std::size_t i = 0; i < merged.histograms.size(); ++i) {
-      DCRD_CHECK(merged.histograms[i].name == doc.histograms[i].name);
-      // Raw-bucket merge through a scratch histogram: AbsorbSnapshot maps
-      // buckets back by lo value, so the merged snapshot is exactly what
-      // one histogram fed every shard's samples would have produced.
-      LogLinearHistogram scratch;
-      scratch.AbsorbSnapshot(merged.histograms[i].snapshot);
-      scratch.AbsorbSnapshot(doc.histograms[i].snapshot);
-      merged.histograms[i].snapshot = scratch.Snapshot();
-    }
-  }
-  return merged;
-}
-
-namespace {
-
-// Minimal JSON string escaping; metric names are code-chosen identifiers,
-// but a stray quote must not corrupt the document.
-void WriteJsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
-void WriteMetricsJson(std::ostream& os, const MetricsDoc& doc) {
-  os << "{\n  \"epochs\": [";
-  for (std::size_t e = 0; e < doc.epoch_t_us.size(); ++e) {
-    os << (e == 0 ? "\n" : ",\n") << "    {\"t_us\": " << doc.epoch_t_us[e]
-       << ", \"counters\": {";
-    for (std::size_t i = 0; i < doc.counters.size(); ++i) {
-      if (i > 0) os << ", ";
-      WriteJsonString(os, doc.counters[i].name);
-      os << ": " << doc.counters[i].epochs[e];
-    }
-    os << "}, \"gauges\": {";
-    for (std::size_t i = 0; i < doc.gauges.size(); ++i) {
-      if (i > 0) os << ", ";
-      WriteJsonString(os, doc.gauges[i].name);
-      os << ": " << doc.gauges[i].epochs[e];
-    }
-    os << "}}";
-  }
-  os << "\n  ],\n  \"counters\": {";
-  for (std::size_t i = 0; i < doc.counters.size(); ++i) {
-    if (i > 0) os << ", ";
-    WriteJsonString(os, doc.counters[i].name);
-    os << ": " << doc.counters[i].final_value;
-  }
-  os << "},\n  \"gauges\": {";
-  for (std::size_t i = 0; i < doc.gauges.size(); ++i) {
-    if (i > 0) os << ", ";
-    WriteJsonString(os, doc.gauges[i].name);
-    os << ": " << doc.gauges[i].final_value;
-  }
-  os << "},\n  \"histograms\": {";
-  for (std::size_t i = 0; i < doc.histograms.size(); ++i) {
-    // Rebuilt from the raw buckets so quantiles come out of the exact same
-    // code path whether the doc was collected live or merged across shards.
-    LogLinearHistogram h;
-    h.AbsorbSnapshot(doc.histograms[i].snapshot);
-    os << (i == 0 ? "\n" : ",\n") << "    ";
-    WriteJsonString(os, doc.histograms[i].name);
-    os << ": {\"count\": " << h.count();
-    if (h.count() > 0) {
-      const double mean =
-          static_cast<double>(h.sum()) / static_cast<double>(h.count());
-      os << ", \"min\": " << h.min() << ", \"max\": " << h.max()
-         << ", \"mean\": " << mean << ", \"p50\": " << h.ValueAtQuantile(0.5)
-         << ", \"p90\": " << h.ValueAtQuantile(0.9)
-         << ", \"p99\": " << h.ValueAtQuantile(0.99)
-         << ", \"p999\": " << h.ValueAtQuantile(0.999);
-    }
-    os << ", \"buckets\": [";
-    bool first_bucket = true;
-    for (int b = 0; b < LogLinearHistogram::kBucketCount; ++b) {
-      if (h.CountAt(b) == 0) continue;
-      if (!first_bucket) os << ", ";
-      first_bucket = false;
-      os << "[" << LogLinearHistogram::BucketLo(b) << ", "
-         << LogLinearHistogram::BucketHi(b) << ", " << h.CountAt(b) << "]";
-    }
-    os << "]}";
-  }
-  os << "\n  }\n}\n";
-}
-
-void MetricsRegistry::WriteJson(std::ostream& os) const {
-  WriteMetricsJson(os, Collect());
 }
 
 }  // namespace dcrd

@@ -1,9 +1,10 @@
 // Metrics registry: named counters, gauges, and log-linear histograms.
 //
 // The registry unifies the simulator's ad-hoc counters behind one named
-// namespace and snapshots them per monitoring epoch, so a run can be
-// post-processed from a single JSON document instead of scattered stdout
-// figures. Three metric kinds:
+// namespace. It holds live values only; the time-series sampler
+// (obs/timeseries.h) reads it at a fixed sim-time cadence and is the one
+// export path — --timeseries at its own interval, --metrics_json at the
+// monitoring-epoch interval. Three metric kinds:
 //  * Counters — monotonically increasing uint64. Either owned by the
 //    registry (AddCounter) or registered by const pointer onto a counter
 //    that some subsystem already maintains (RegisterCounter); the latter
@@ -16,28 +17,24 @@
 //
 // Recording into a histogram is two array writes and a handful of integer
 // ops — no allocation, no floating point — so it is safe on the per-event
-// hot path. SnapshotEpoch and WriteJson allocate; they run per monitoring
-// epoch / at end of run only.
+// hot path.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "common/sim_time.h"
-
 namespace dcrd {
 
-// Raw-bucket view of a LogLinearHistogram: exactly the state WriteJson
-// exports per histogram ([lo, hi, count] triples plus the scalar summary).
-// A snapshot round-trips losslessly — AbsorbSnapshot rebuilds identical
-// bucket contents — so per-cell histograms from separate sweep reps can be
-// merged offline into whole-run distributions without re-running anything.
+// Raw-bucket view of a LogLinearHistogram: non-empty [lo, hi, count]
+// buckets plus the scalar summary. A snapshot round-trips losslessly —
+// AbsorbSnapshot rebuilds identical bucket contents — so distributions
+// can be rebuilt offline (e.g. one time-series window's bucket deltas)
+// without re-running anything.
 struct HistogramSnapshot {
   struct Bucket {
     std::uint64_t lo = 0;   // BucketLo of the source bucket (its identity)
@@ -106,7 +103,7 @@ class LogLinearHistogram {
 
   // Raw-bucket export/import (see HistogramSnapshot). AbsorbSnapshot maps
   // each bucket back by its lo value and adds its count; snapshots produced
-  // by Snapshot()/WriteJson merge exactly.
+  // by Snapshot() merge exactly.
   [[nodiscard]] HistogramSnapshot Snapshot() const;
   void AbsorbSnapshot(const HistogramSnapshot& snapshot);
 
@@ -120,8 +117,8 @@ class LogLinearHistogram {
   std::uint64_t max_ = 0;
 };
 
-// How one metric combines across engine shards when per-shard registries
-// are folded into a single document (DESIGN.md §14):
+// How one metric combines across engine shards when per-shard time series
+// are folded into a single document (MergeTimeSeriesStores, DESIGN.md §14):
 //  * kSum — disjoint owner-only quantities (deliveries, traffic counters,
 //    in-flight copies). Non-owner shards contribute exactly 0, so the sum
 //    over shards is byte-identical to the 1-shard value.
@@ -131,40 +128,6 @@ class LogLinearHistogram {
 // Histograms are always kSum (deliveries and RTT samples land on the owner
 // shard only).
 enum class MergePolicy { kSum, kReplicated };
-
-// Shard-mergeable snapshot of a whole registry: names, policies, the
-// per-epoch counter/gauge series, final values, and raw-bucket histogram
-// snapshots. Produced by MetricsRegistry::Collect, folded with
-// MergeMetricsDocs, serialised by WriteMetricsJson — both the 1-shard and
-// the N-shard paths go through this type, so their output is identical by
-// construction.
-struct MetricsDoc {
-  struct Series {
-    std::string name;
-    MergePolicy policy = MergePolicy::kSum;
-    std::vector<std::uint64_t> epochs;  // parallel to epoch_t_us
-    std::uint64_t final_value = 0;
-  };
-  struct HistogramEntry {
-    std::string name;
-    HistogramSnapshot snapshot;
-  };
-  std::vector<std::int64_t> epoch_t_us;
-  std::vector<Series> counters;
-  std::vector<Series> gauges;
-  std::vector<HistogramEntry> histograms;
-};
-
-// Folds per-shard docs into one (see MergePolicy). Every doc must have the
-// same metric names in the same order and the same epoch timestamps — true
-// by construction for shard replicas, checked by DCRD_CHECK otherwise.
-[[nodiscard]] MetricsDoc MergeMetricsDocs(
-    const std::vector<const MetricsDoc*>& docs);
-
-// Writes a doc in the registry's JSON format: per-epoch counter/gauge
-// series, final values, and each histogram's summary stats, quantiles, and
-// non-empty buckets as [lo, hi, count] triples.
-void WriteMetricsJson(std::ostream& os, const MetricsDoc& doc);
 
 class MetricsRegistry {
  public:
@@ -179,20 +142,16 @@ class MetricsRegistry {
 
   // Registers an externally owned counter by const pointer. The source must
   // outlive the registry; it stays the single source of truth and is read
-  // at snapshot / export time.
+  // at sample time.
   void RegisterCounter(std::string name, const std::uint64_t* source,
                        MergePolicy policy = MergePolicy::kSum);
 
-  // Registers a gauge sampled via `sample` at snapshot / export time.
+  // Registers a gauge read via `sample` at sample time.
   void RegisterGauge(std::string name, std::function<std::uint64_t()> sample,
                      MergePolicy policy = MergePolicy::kSum);
 
   // Creates a registry-owned histogram. Stable pointer, record directly.
   LogLinearHistogram* AddHistogram(std::string name);
-
-  // Captures every counter and gauge value at sim time `t` into the epoch
-  // series exported by WriteJson.
-  void SnapshotEpoch(SimTime t);
 
   // Read access for the time-series sampler (obs/timeseries.h): metric
   // counts, names, policies, and live values, in registration order.
@@ -226,16 +185,6 @@ class MetricsRegistry {
     return histograms_[i].histogram;
   }
 
-  // Snapshots the registry into a shard-mergeable document (final values
-  // read now, like WriteJson's final sections).
-  [[nodiscard]] MetricsDoc Collect() const;
-
-  // Writes the whole registry as one JSON document: the per-epoch counter/
-  // gauge series, final values, and each histogram's summary stats,
-  // quantiles, and non-empty buckets as [lo, hi, count] triples.
-  // Equivalent to WriteMetricsJson(os, Collect()).
-  void WriteJson(std::ostream& os) const;
-
  private:
   struct Counter {
     std::string name;
@@ -255,17 +204,11 @@ class MetricsRegistry {
     std::string name;
     LogLinearHistogram histogram;
   };
-  struct Epoch {
-    std::int64_t t_us = 0;
-    std::vector<std::uint64_t> counters;  // parallel to counters_
-    std::vector<std::uint64_t> gauges;    // parallel to gauges_
-  };
 
   // deques: stable element addresses across Add*/Register* calls.
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
-  std::vector<Epoch> epochs_;
 };
 
 }  // namespace dcrd

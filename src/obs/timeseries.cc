@@ -90,9 +90,15 @@ TimeSeriesSampler::TimeSeriesSampler(const MetricsRegistry& registry,
     store_.gauge_values[i].reserve(budget);
   }
 
-  const std::size_t pool_reserve = config.histogram_pool_reserve != 0
-                                       ? config.histogram_pool_reserve
-                                       : budget * 48;
+  // Histogram delta pools hold one entry per distinct bucket a window
+  // touches. 48 per simulated second of window covers the 1 s cadence; a
+  // monitoring-epoch window (minutes) can touch a large share of the
+  // buckets, and no window can touch more than all of them.
+  const std::size_t window_seconds =
+      static_cast<std::size_t>((interval_.micros() + 999999) / 1000000);
+  const std::size_t pool_reserve =
+      budget * std::min<std::size_t>(48 * window_seconds,
+                                     LogLinearHistogram::kBucketCount);
   store_.histogram_names.reserve(registry.histogram_count());
   store_.histogram_deltas.resize(registry.histogram_count());
   shadows_.resize(registry.histogram_count());

@@ -46,9 +46,6 @@ struct TimeSeriesConfig {
   SimTime end = SimTime::FromMicros(0);
   // Brokers to sample via the health source; 0 disables broker columns.
   std::size_t node_count = 0;
-  // Reserve for each histogram's delta pool, in (bucket, count) entries.
-  // 0 picks a default proportional to the sample budget.
-  std::size_t histogram_pool_reserve = 0;
 };
 
 // Columnar store: one row per sample, one column per metric. Counters are

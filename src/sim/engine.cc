@@ -169,7 +169,7 @@ class LinkStateSampler {
 
 // Registers the network's per-class TrafficCounters fields under
 // "net.<class>.<field>" names. By const pointer: the network stays the
-// single source of truth, the registry only reads at snapshot time.
+// single source of truth, the registry only reads at sample time.
 void RegisterNetworkCounters(MetricsRegistry& registry,
                              const OverlayNetwork& network) {
   static constexpr std::string_view kClassNames[] = {"data", "ack",
@@ -319,9 +319,6 @@ class Sim {
 
   [[nodiscard]] SimInvariantChecker* checker() { return checker_.get(); }
   [[nodiscard]] const Router& router() const { return *router_; }
-  // Per-shard telemetry, folded by RunSharded at join (single-threaded).
-  [[nodiscard]] MetricsRegistry* registry() { return registry_.get(); }
-  [[nodiscard]] TimeSeriesSampler* timeseries() { return timeseries_.get(); }
 
   // Merges per-shard observations into one RunSummary, bit-identical to
   // the 1-shard run: published-side counts are replicated (shard 0 speaks
@@ -330,6 +327,13 @@ class Sim {
   // sorted — in BOTH modes, so the canonical order never depends on the
   // partition. sims[0] must already hold any absorbed checker state.
   static RunSummary BuildSummary(const std::vector<Sim*>& sims);
+
+  // Telemetry join (single-threaded, like the summary merge): closes every
+  // shard's samplers with the tail sample at global quiescence `end_time`,
+  // folds them per MergePolicy and writes the --timeseries and
+  // --metrics_json files. RunSingle passes its one-element list, so the
+  // 1-shard and N-shard files come out of the same merge and writer.
+  static void WriteTelemetry(const std::vector<Sim*>& sims, SimTime end_time);
 
  private:
   void OnPublish(const Message& message);
@@ -413,6 +417,8 @@ class Sim {
   std::unique_ptr<LinkStateSampler> link_sampler_;
   std::unique_ptr<BrokerLifecycleSampler> lifecycle_sampler_;
   std::unique_ptr<TimeSeriesSampler> timeseries_;
+  // --metrics_json: the same sampler at monitoring-epoch cadence.
+  std::unique_ptr<TimeSeriesSampler> epoch_series_;
   ShardProfiler* profiler_ = nullptr;
   std::uint64_t next_message_id_ = 0;
   std::vector<std::unique_ptr<Publisher>> publishers_;
@@ -592,19 +598,17 @@ Sim::Sim(const ScenarioConfig& config, const Graph& graph,
        epoch <= end_; epoch += config_.monitor_interval) {
     scheduler_.ScheduleAt(epoch, [this] { EpochTick(); });
   }
-  if (observing || audit_router_ != nullptr) {
+  if (recorder_ != nullptr || audit_router_ != nullptr) {
     // Observability epochs ride their own events rather than widening the
     // rebuild event. Scheduled after the rebuild loop, so at each epoch
     // instant they run *after* the rebuild (same time, later seq) and the
-    // kRebuild record / snapshot / audit rows reflect the post-rebuild
-    // state.
+    // kRebuild record / audit rows reflect the post-rebuild state.
     // Rebuilds replay on every shard; shard 0 speaks for all in the trace
     // (the same convention the published-side summary counts use).
     if (recorder_ != nullptr && network_.shard() == 0) {
       recorder_->Record(TraceEventKind::kRebuild, TraceRecord::kNoPacket, 0,
                         NodeId(), NodeId(), LinkId());
     }
-    if (registry_ != nullptr) registry_->SnapshotEpoch(SimTime::Zero());
     if (audit_router_ != nullptr) {
       audit_router_->WriteAuditSnapshot(audit_file_, SimTime::Zero());
     }
@@ -615,7 +619,6 @@ Sim::Sim(const ScenarioConfig& config, const Graph& graph,
           recorder_->Record(TraceEventKind::kRebuild, TraceRecord::kNoPacket,
                             0, NodeId(), NodeId(), LinkId());
         }
-        if (registry_ != nullptr) registry_->SnapshotEpoch(scheduler_.now());
         if (audit_router_ != nullptr) {
           audit_router_->WriteAuditSnapshot(audit_file_, scheduler_.now());
         }
@@ -632,20 +635,28 @@ Sim::Sim(const ScenarioConfig& config, const Graph& graph,
         network_, scheduler_, *router_, recorder_.get(),
         config_.failure_epoch, end_);
   }
-  if (!config_.timeseries_out.empty()) {
-    // Created on every shard at this same setup point — its chain-scheduled
-    // events keep engine-origin sequence numbers replicated, exactly like
-    // the link-state sampler — and strictly read-only, so enabling it never
-    // changes results.
+  // Samplers are created on every shard at this same setup point — their
+  // chain-scheduled events keep engine-origin sequence numbers replicated,
+  // exactly like the link-state sampler — and strictly read-only, so
+  // enabling them never changes results. Each chain starts after the
+  // EpochTick events above, so a sample at an epoch instant runs after
+  // that epoch's rebuild and sees the post-rebuild state.
+  const auto make_sampler = [this](SimDuration interval) {
     TimeSeriesConfig ts_config;
-    ts_config.interval = config_.timeseries_interval;
+    ts_config.interval = interval;
     ts_config.end = end_;
     ts_config.node_count = graph_.node_count();
-    timeseries_ = std::make_unique<TimeSeriesSampler>(
+    return std::make_unique<TimeSeriesSampler>(
         *registry_, scheduler_, ts_config,
         [this](std::vector<BrokerHealth>& out) {
           router_->SampleBrokerHealth(out);
         });
+  };
+  if (!config_.timeseries_out.empty()) {
+    timeseries_ = make_sampler(config_.timeseries_interval);
+  }
+  if (!config_.metrics_json.empty()) {
+    epoch_series_ = make_sampler(config_.monitor_interval);
   }
 
   // Publishers: one per topic, phase-jittered within the first interval.
@@ -729,27 +740,27 @@ void WriteShardProfileFile(const std::string& path,
   WriteShardProfileJson(file, profile);
 }
 
-// Same degrade-to-warning contract for the metrics and time-series
-// documents. Both take the already-merged artefact: the 1-shard path folds
-// a one-element list through the same merge functions the N-shard path
-// uses, so the two paths cannot drift apart byte-wise.
-void WriteMetricsFile(const std::string& path, const MetricsDoc& doc) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    DCRD_LOG(kWarn) << "cannot write metrics to " << path;
-    return;
-  }
-  WriteMetricsJson(file, doc);
-}
-
-void WriteTimeSeriesFile(const std::string& path,
-                         const TimeSeriesStore& store) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    DCRD_LOG(kWarn) << "cannot write time series to " << path;
-    return;
-  }
-  WriteTimeSeriesJson(file, store);
+void Sim::WriteTelemetry(const std::vector<Sim*>& sims, SimTime end_time) {
+  const auto write = [&](const std::string& path,
+                         std::unique_ptr<TimeSeriesSampler> Sim::*sampler) {
+    if (path.empty()) return;
+    std::vector<const TimeSeriesStore*> stores;
+    stores.reserve(sims.size());
+    for (Sim* sim : sims) {
+      (sim->*sampler)->FinalizeAt(end_time);
+      stores.push_back(&(sim->*sampler)->store());
+    }
+    // Same degrade-to-warning contract as the shard profile.
+    std::ofstream file(path, std::ios::trunc);
+    if (!file) {
+      DCRD_LOG(kWarn) << "cannot write time series to " << path;
+      return;
+    }
+    WriteTimeSeriesJson(file, MergeTimeSeriesStores(stores));
+  };
+  const ScenarioConfig& config = sims.front()->config_;
+  write(config.timeseries_out, &Sim::timeseries_);
+  write(config.metrics_json, &Sim::epoch_series_);
 }
 
 RunSummary Sim::RunSingle() {
@@ -773,18 +784,8 @@ RunSummary Sim::RunSingle() {
     throw;
   }
 
-  if (registry_ != nullptr) {
-    registry_->SnapshotEpoch(scheduler_.now());
-    if (!config_.metrics_json.empty()) {
-      const MetricsDoc doc = registry_->Collect();
-      WriteMetricsFile(config_.metrics_json, MergeMetricsDocs({&doc}));
-    }
-  }
-  if (timeseries_ != nullptr) {
-    timeseries_->FinalizeAt(scheduler_.now());
-    WriteTimeSeriesFile(config_.timeseries_out,
-                        MergeTimeSeriesStores({&timeseries_->store()}));
-  }
+  std::vector<Sim*> self{this};
+  WriteTelemetry(self, scheduler_.now());
   if (recorder_ != nullptr) recorder_->Flush();
   if (profiling) {
     const auto busy_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -796,8 +797,6 @@ RunSummary Sim::RunSingle() {
     WriteShardProfileFile(config_.shard_profile_out,
                           MergeShardProfiles({&profiler}, 0));
   }
-
-  std::vector<Sim*> self{this};
   return BuildSummary(self);
 }
 
@@ -1035,35 +1034,12 @@ RunSummary RunSharded(const ScenarioConfig& config, const Graph& graph,
   SimTime end_time = SimTime::Zero() + config.sim_time;
   for (const auto& sim : sims) end_time = std::max(end_time, sim->now());
 
-  // Telemetry join (single-threaded, like the summary merge): close every
-  // shard's final epoch / tail sample at the same global quiescence time
-  // the 1-shard run would use, then fold per MergePolicy and write —
-  // byte-identical to the 1-shard documents.
-  if (!config.metrics_json.empty()) {
-    std::vector<MetricsDoc> docs;
-    docs.reserve(sims.size());
-    for (const auto& sim : sims) {
-      sim->registry()->SnapshotEpoch(end_time);
-      docs.push_back(sim->registry()->Collect());
-    }
-    std::vector<const MetricsDoc*> doc_views;
-    doc_views.reserve(docs.size());
-    for (const MetricsDoc& doc : docs) doc_views.push_back(&doc);
-    WriteMetricsFile(config.metrics_json, MergeMetricsDocs(doc_views));
-  }
-  if (!config.timeseries_out.empty()) {
-    std::vector<const TimeSeriesStore*> stores;
-    stores.reserve(sims.size());
-    for (const auto& sim : sims) {
-      sim->timeseries()->FinalizeAt(end_time);
-      stores.push_back(&sim->timeseries()->store());
-    }
-    WriteTimeSeriesFile(config.timeseries_out, MergeTimeSeriesStores(stores));
-  }
-
   std::vector<Sim*> views;
   views.reserve(sims.size());
   for (const auto& sim : sims) views.push_back(sim.get());
+  // Closed at the same global quiescence time the 1-shard run would use,
+  // so the merged files are byte-identical to the 1-shard documents.
+  Sim::WriteTelemetry(views, end_time);
 
   if (views.front()->checker() != nullptr) {
     std::uint64_t pending_copies = 0;

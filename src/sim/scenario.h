@@ -168,19 +168,20 @@ struct ScenarioConfig {
   // count; a 1-shard run writes the degenerate all-busy profile. Rendered
   // by tools/dcrd_trace --shards.
   std::string shard_profile_out;
-  // When non-empty, write the metrics registry (per-epoch counter/gauge
-  // series + histograms) to this file as JSON at end of run. Sharded runs
-  // keep one registry per shard and fold them at join (MergePolicy rules,
-  // obs/metrics_registry.h) — the merged document is byte-identical to a
-  // 1-shard run's.
+  // When non-empty, sample the metrics registry once per monitoring epoch
+  // (interval = monitor_interval, each sample after that epoch's rebuild)
+  // and write the series to this file at end of run — the same
+  // "dcrd-timeseries-v1" document as timeseries_out, at epoch cadence.
+  // Counters are per-epoch deltas; sharded runs merge per-shard stores at
+  // join, byte-identical to a 1-shard run's file.
   std::string metrics_json;
   // When non-empty, sample the metrics registry every timeseries_interval
   // of sim time into a columnar store (counter deltas, gauge levels,
   // histogram raw-bucket deltas, per-broker health) and write it to this
   // file as JSON at end of run ("dcrd-timeseries-v1", obs/timeseries.h),
   // including the windowed deadline-SLO series. Rendered by
-  // tools/dcrd_trace --timeseries. Implies a metrics registry even when
-  // metrics_json is empty; sharded runs merge per-shard stores at join.
+  // tools/dcrd_trace --timeseries. Sharded runs merge per-shard stores at
+  // join.
   std::string timeseries_out;
   SimDuration timeseries_interval = SimDuration::Seconds(1);
   // When non-empty and the router is DCRD, write the model's view — per

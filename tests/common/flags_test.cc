@@ -67,13 +67,6 @@ TEST(FlagsTest, SpaceFormDoesNotEatNextFlag) {
   EXPECT_DOUBLE_EQ(flags.GetDouble("pf", 0), 0.1);
 }
 
-TEST(FlagsTest, UnknownFlagDetection) {
-  const Flags flags = ParseArgs({"--pf=1", "--typo=2"});
-  const auto unknown = flags.UnknownFlags({"pf", "nodes"});
-  ASSERT_EQ(unknown.size(), 1U);
-  EXPECT_EQ(unknown[0], "typo");
-}
-
 TEST(FlagsTest, UnqueriedFlagsTracksEveryAccessor) {
   const Flags flags = ParseArgs(
       {"--pf=0.1", "--nodes=20", "--label=x", "--fast", "--typo=7"});

@@ -1,12 +1,11 @@
 // Metrics registry: log-linear histogram bucket math and quantiles (pinned
-// against sim/stats.h's scalar Quantile), counters, gauges, epoch series,
-// and the JSON export.
+// against sim/stats.h's scalar Quantile). Counter and gauge reads are
+// covered through the time-series sampler (timeseries_test.cc).
 #include "obs/metrics_registry.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "sim/stats.h"
@@ -103,45 +102,6 @@ TEST(LogLinearHistogramTest, SingleSampleReportsItselfAtEveryQuantile) {
     // Midpoint clamps into [min, max] == [123456, 123456].
     EXPECT_EQ(h.ValueAtQuantile(q), 123456u) << q;
   }
-}
-
-TEST(MetricsRegistryTest, OwnedAndExternalCountersAndGauges) {
-  MetricsRegistry registry;
-  std::uint64_t* owned = registry.AddCounter("test.owned");
-  std::uint64_t external = 7;
-  registry.RegisterCounter("test.external", &external);
-  std::uint64_t gauge_value = 3;
-  registry.RegisterGauge("test.gauge", [&gauge_value] { return gauge_value; });
-
-  *owned += 2;
-  registry.SnapshotEpoch(SimTime::FromMicros(1000));
-  *owned += 3;
-  external = 11;
-  gauge_value = 9;
-  registry.SnapshotEpoch(SimTime::FromMicros(2000));
-
-  std::ostringstream os;
-  registry.WriteJson(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"test.owned\": 5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.external\": 11"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.gauge\": 9"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"t_us\": 1000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"t_us\": 2000"), std::string::npos) << json;
-}
-
-TEST(MetricsRegistryTest, HistogramExportCarriesSummaryAndQuantiles) {
-  MetricsRegistry registry;
-  LogLinearHistogram* h = registry.AddHistogram("test.hist");
-  for (int v = 1; v <= 10; ++v) h->Record(v);
-  std::ostringstream os;
-  registry.WriteJson(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"test.hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 10"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"min\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"max\": 10"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p50\": 5"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -65,5 +65,38 @@ TEST(TimeSeriesAllocTest, SamplingIsAllocationFreeAfterConstruction) {
   EXPECT_EQ(sampler.store().samples(), 201u);
 }
 
+TEST(TimeSeriesAllocTest, EpochCadenceWindowTouchingMostBucketsStaysFree) {
+  // --metrics_json samples at the monitoring epoch (300 s by default). One
+  // such window can touch a large share of the 1920 histogram buckets; the
+  // delta pool must be reserved for that up front, not grown mid-run.
+  MetricsRegistry registry;
+  LogLinearHistogram* delay = registry.AddHistogram("test.delay_us");
+
+  Scheduler scheduler;
+  TimeSeriesConfig config;
+  config.interval = SimDuration::Seconds(300);
+  config.end = SimTime::FromMicros(1800 * 1000000LL);
+  TimeSeriesSampler sampler(registry, scheduler, config);
+  // Warm-up through the first epoch sample (see above).
+  scheduler.RunUntil(SimTime::FromMicros(300 * 1000000LL));
+
+  AllocProbe probe;
+  // One observation at each of the lowest kTouched buckets' lo value.
+  constexpr int kTouched = 1200;
+  for (int b = 0; b < kTouched; ++b) {
+    delay->Record(static_cast<std::int64_t>(LogLinearHistogram::BucketLo(b)));
+  }
+  scheduler.RunUntil(SimTime::FromMicros(600 * 1000000LL));
+  const auto delta = probe.delta();
+  EXPECT_EQ(delta.allocations, 0u)
+      << "an epoch window touching " << kTouched << " buckets allocated "
+      << delta.bytes << " bytes";
+
+  const TimeSeriesStore::HistogramDeltas& deltas =
+      sampler.store().histogram_deltas[0];
+  ASSERT_EQ(sampler.store().samples(), 3u);
+  EXPECT_GE(deltas.end_offset[2] - deltas.end_offset[1], 1000u);
+}
+
 }  // namespace
 }  // namespace dcrd

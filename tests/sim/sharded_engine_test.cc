@@ -18,6 +18,7 @@
 
 #include "graph/partition.h"
 #include "obs/shard_profiler.h"
+#include "obs/timeseries.h"
 #include "obs/trace_export.h"
 #include "obs/trace_record.h"
 #include "sim/engine.h"
@@ -358,12 +359,29 @@ std::string Slurp(const std::string& path) {
   return text;
 }
 
+// Running total of one counter after each sample; fails if absent.
+std::vector<std::uint64_t> RunningTotals(const TimeSeriesStore& store,
+                                         const std::string& name) {
+  std::vector<std::uint64_t> totals;
+  for (std::size_t i = 0; i < store.counter_names.size(); ++i) {
+    if (store.counter_names[i] != name) continue;
+    std::uint64_t total = 0;
+    for (const std::uint64_t delta : store.counter_deltas[i]) {
+      totals.push_back(total += delta);
+    }
+    return totals;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return {0};
+}
+
 TEST(ShardedEngineTest, MergedTelemetryIsByteIdenticalAcrossShardCounts) {
   // The continuous-telemetry contract (DESIGN.md §14): the merged
   // --metrics_json and --timeseries files from an 8-shard run must be
   // byte-identical to the 1-shard run's — kSum series because owner-only
   // deltas partition the work, kReplicated series because the control plane
   // replays identically on every shard. Results must stay untouched too.
+  // --metrics_json is the same document at monitoring-epoch cadence.
   ScenarioConfig config = Ext7Style(RouterKind::kDcrd);
   config.metrics_json = testing::TempDir() + "telemetry_s1.metrics.json";
   config.timeseries_out = testing::TempDir() + "telemetry_s1.series.json";
@@ -386,6 +404,68 @@ TEST(ShardedEngineTest, MergedTelemetryIsByteIdenticalAcrossShardCounts) {
   ASSERT_FALSE(series_1.empty());
   EXPECT_EQ(series_1, series_8);
   EXPECT_NE(series_1.find("\"dcrd-timeseries-v1\""), std::string::npos);
+
+  EXPECT_NE(metrics_1.find("\"dcrd-timeseries-v1\""), std::string::npos);
+  TimeSeriesStore epochs;
+  TimeSeriesStore series;
+  std::string error;
+  ASSERT_TRUE(LoadTimeSeriesJson(metrics_1, &epochs, &error)) << error;
+  ASSERT_TRUE(LoadTimeSeriesJson(series_1, &series, &error)) << error;
+  EXPECT_EQ(epochs.interval_us, config.monitor_interval.micros());
+  // Samples at t = 0, every epoch up to the end wall, and the quiescence
+  // tail the 1 s series closes at too.
+  const std::int64_t end_us = config.sim_time.micros();
+  std::vector<std::int64_t> expected_t;
+  for (std::int64_t t = 0; t <= end_us; t += epochs.interval_us) {
+    expected_t.push_back(t);
+  }
+  ASSERT_GT(series.t_us.back(), end_us);  // the drain outlives the end wall
+  expected_t.push_back(series.t_us.back());
+  EXPECT_EQ(epochs.t_us, expected_t);
+  EXPECT_EQ(RunningTotals(epochs, "slo.pairs_delivered").back(),
+            base.delivered_pairs);
+  EXPECT_EQ(RunningTotals(epochs, "slo.pairs_published").back(),
+            base.expected_pairs);
+}
+
+TEST(ShardedEngineTest, MetricsJsonEpochSamplesSeeThePostRebuildState) {
+  // --metrics_json samples each monitoring epoch instant after that
+  // epoch's rebuild. The distributed <d,r> control plane broadcasts at the
+  // rebuild instant, so a pre-rebuild sample would miss the burst. The 1 s
+  // --timeseries chain reaches each epoch instant from one second earlier,
+  // after the rebuild events queued at setup: its sample is the reference.
+  // (Distributed DCRD runs on one shard.)
+  ScenarioConfig config = Fig5Style(RouterKind::kDcrd);
+  config.dcrd_distributed = true;
+  config.metrics_json = testing::TempDir() + "post_rebuild.metrics.json";
+  config.timeseries_out = testing::TempDir() + "post_rebuild.series.json";
+  RunScenario(config);
+
+  TimeSeriesStore epochs;
+  TimeSeriesStore series;
+  std::string error;
+  ASSERT_TRUE(LoadTimeSeriesJson(Slurp(config.metrics_json), &epochs, &error))
+      << error;
+  ASSERT_TRUE(
+      LoadTimeSeriesJson(Slurp(config.timeseries_out), &series, &error))
+      << error;
+  const std::vector<std::uint64_t> epoch_totals =
+      RunningTotals(epochs, "net.control.attempted");
+  const std::vector<std::uint64_t> series_totals =
+      RunningTotals(series, "net.control.attempted");
+  int checked = 0;
+  for (std::size_t e = 1; e < epochs.samples(); ++e) {
+    if (epochs.t_us[e] > config.sim_time.micros()) break;  // quiescence tail
+    const std::size_t s =
+        static_cast<std::size_t>(epochs.t_us[e] / series.interval_us);
+    ASSERT_EQ(series.t_us[s], epochs.t_us[e]);
+    // The rebuild at this instant sent control messages, and the epoch
+    // sample counts them.
+    EXPECT_GT(series_totals[s], series_totals[s - 1]) << series.t_us[s];
+    EXPECT_EQ(epoch_totals[e], series_totals[s]) << epochs.t_us[e];
+    ++checked;
+  }
+  EXPECT_EQ(checked, 6);  // 30 s run, 5 s epochs
 }
 
 TEST(ShardedEngineTest, ChaosSoakAcrossShardsStaysClean) {

@@ -28,8 +28,9 @@
 //                    totals, imbalance, critical-shard attribution, and the
 //                    cross-shard traffic matrix as a heat table). Works
 //                    standalone — no trace files needed
-//   --timeseries TS  render a --timeseries JSON capture (counter totals,
-//                    gauge ranges, the windowed deadline-SLO table). Works
+//   --timeseries TS  render a --timeseries or --metrics_json capture
+//                    (counter totals, gauge ranges, the windowed
+//                    deadline-SLO table). Works
 //                    standalone; with --chrome it adds "dcrd-telemetry"
 //                    counter tracks, with --report it adds the
 //                    continuous-telemetry panel
