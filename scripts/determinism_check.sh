@@ -7,8 +7,11 @@
 #
 # Environment overrides:
 #   DCRD_DET_BINARY   single figure binary (overrides the default set)
-#   DCRD_DET_BINARIES space-separated list
-#                     (default "fig5_network_size fig2_full_mesh ext7_gray_failures ext8_broker_churn")
+#   DCRD_DET_BINARIES space-separated list (default "fig5_network_size
+#                     fig2_full_mesh ext2_persistence ext5_churn
+#                     ext7_gray_failures ext8_broker_churn"; ext2 drives
+#                     DCRD's persistency mode and its flow-label dedup keys,
+#                     ext5 the lookups of subscribers that churned away)
 #   DCRD_DET_REPS     repetitions          (default 2)
 #   DCRD_DET_SECONDS  simulated seconds    (default 120)
 #   DCRD_DET_JOBS     parallel job count   (default 8)
@@ -18,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build_dir="${1:-build}"
-binaries="${DCRD_DET_BINARIES:-fig5_network_size fig2_full_mesh ext7_gray_failures ext8_broker_churn}"
+binaries="${DCRD_DET_BINARIES:-fig5_network_size fig2_full_mesh ext2_persistence ext5_churn ext7_gray_failures ext8_broker_churn}"
 if [[ -n "${DCRD_DET_BINARY:-}" ]]; then
   binaries="$DCRD_DET_BINARY"
 fi
@@ -42,6 +45,9 @@ for binary_name in $binaries; do
 
   serial="$workdir/$binary_name.serial"
   parallel="$workdir/$binary_name.parallel"
+  # ext2_persistence prints its table but writes no CSV: pre-create the
+  # capture directories so such a binary compares an empty CSV set.
+  mkdir -p "$serial" "$parallel"
   "$binary" --reps "$reps" --seconds "$sim_seconds" --jobs 1 \
     --csv "$serial" > "$serial.out"
   "$binary" --reps "$reps" --seconds "$sim_seconds" --jobs "$jobs" \
@@ -78,6 +84,7 @@ for binary_name in $binaries; do
   binary="$build_dir/bench/$binary_name"
   serial="$workdir/$binary_name.serial"
   sharded="$workdir/$binary_name.sharded"
+  mkdir -p "$sharded"
 
   "$binary" --reps "$reps" --seconds "$sim_seconds" --jobs 1 \
     --shards "$shards" --csv "$sharded" > "$sharded.out" 2> /dev/null

@@ -24,6 +24,7 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
   config_.distributed.max_transmissions = context_.max_transmissions;
   config_.distributed.ordering = config_.computation.ordering;
   processed_.resize(context_.network->graph().node_count());
+  persisted_.resize(context_.network->graph().node_count());
   resync_until_.assign(context_.network->graph().node_count(), SimTime());
   resync_round_.assign(context_.network->graph().node_count(), 0);
 }
@@ -31,10 +32,10 @@ DcrdRouter::DcrdRouter(RouterContext context, DcrdConfig config)
 void DcrdRouter::Rebuild(const MonitoredView& view) {
   view_ = &view;
   transport_.ClearDedupState();
-  for (auto& processed : processed_) processed.clear();
+  for (DenseIdSet& processed : processed_) processed.clear();
   // Retry budgets reset with the epoch; anything still parked gets a fresh
   // chance against the newly measured topology.
-  persisted_.clear();
+  for (DenseIdMap<int>& persisted : persisted_) persisted.clear();
   // Freshly rebuilt tables supersede any in-progress crash resync — the
   // restarted broker's state is now exactly as good as everyone else's.
   std::fill(resync_until_.begin(), resync_until_.end(), SimTime());
@@ -50,15 +51,18 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
   }
   tables_.assign(subs.topic_count(), {});
   gossip_.assign(subs.topic_count(), {});
-  subscriber_index_.assign(subs.topic_count(), {});
+  subscriber_index_.resize(subs.topic_count());
   for (std::size_t t = 0; t < subs.topic_count(); ++t) {
     const TopicId topic(static_cast<TopicId::underlying_type>(t));
     const NodeId publisher = subs.publisher(topic);
     const std::vector<double> publisher_dist =
         MonitoredDistancesFrom(graph, view, publisher);
+    std::vector<std::uint32_t>& index = subscriber_index_[t];
+    index.assign(graph.node_count(), kNoSubscriber);
     for (const Subscription& sub : subs.subscriptions(topic)) {
       if (config_.use_distributed_computation) {
-        subscriber_index_[t].emplace(sub.subscriber, gossip_[t].size());
+        index[sub.subscriber.underlying()] =
+            static_cast<std::uint32_t>(gossip_[t].size());
         std::vector<double> budgets(graph.node_count());
         for (std::size_t i = 0; i < graph.node_count(); ++i) {
           budgets[i] =
@@ -80,7 +84,8 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
         }
         gossip_[t].push_back(std::move(gossip));
       } else {
-        subscriber_index_[t].emplace(sub.subscriber, tables_[t].size());
+        index[sub.subscriber.underlying()] =
+            static_cast<std::uint32_t>(tables_[t].size());
         tables_[t].push_back(ComputeDestinationTables(
             graph, view, sub.subscriber,
             static_cast<double>(sub.deadline.micros()), publisher_dist,
@@ -118,26 +123,25 @@ const std::vector<NodeTables>& DcrdRouter::GossipSnapshot(
 
 const NodeTables* DcrdRouter::GetNodeTables(TopicId topic, NodeId subscriber,
                                             NodeId node) const {
-  const auto& index = subscriber_index_[topic.underlying()];
-  const auto it = index.find(subscriber);
-  if (it == index.end()) return nullptr;
+  const std::uint32_t index =
+      subscriber_index_[topic.underlying()][subscriber.underlying()];
+  if (index == kNoSubscriber) return nullptr;
   if (config_.use_distributed_computation) {
     const std::vector<NodeTables>& snapshot =
-        GossipSnapshot(gossip_[topic.underlying()][it->second]);
+        GossipSnapshot(gossip_[topic.underlying()][index]);
     return &snapshot[node.underlying()];
   }
-  return &tables_[topic.underlying()][it->second]
-              .per_node[node.underlying()];
+  return &tables_[topic.underlying()][index].per_node[node.underlying()];
 }
 
 const DestinationTables* DcrdRouter::FindTables(TopicId topic,
                                                 NodeId subscriber) const {
   DCRD_CHECK(!config_.use_distributed_computation)
       << "solver tables are not materialised in distributed mode";
-  const auto& index = subscriber_index_[topic.underlying()];
-  const auto it = index.find(subscriber);
-  if (it == index.end()) return nullptr;
-  return &tables_[topic.underlying()][it->second];
+  const std::uint32_t index =
+      subscriber_index_[topic.underlying()][subscriber.underlying()];
+  if (index == kNoSubscriber) return nullptr;
+  return &tables_[topic.underlying()][index];
 }
 
 const DestinationTables& DcrdRouter::TablesFor(TopicId topic,
@@ -203,55 +207,59 @@ void DcrdRouter::WriteAuditSnapshot(std::ostream& os, SimTime now) const {
 
 void DcrdRouter::Publish(const Message& message) {
   const SubscriptionTable& subs = *context_.subscriptions;
-  std::vector<NodeId> destinations;
+  destinations_scratch_.clear();
   for (const Subscription& sub : subs.subscriptions(message.topic)) {
     if (sub.subscriber == message.publisher) {
       context_.sink->OnDelivered(message, sub.subscriber,
                                  context_.network->scheduler().now());
     } else {
-      destinations.push_back(sub.subscriber);
+      destinations_scratch_.push_back(sub.subscriber);
     }
   }
-  if (destinations.empty()) return;
-  Packet packet(message, std::move(destinations));
-  auto& processed =
-      processed_[message.publisher.underlying()][ProcessedKey(packet)];
-  processed.insert(packet.destinations().begin(),
-                   packet.destinations().end());
-  StartEpisode(message.publisher, std::move(packet));
+  if (destinations_scratch_.empty()) return;
+  const Packet packet(message, {});
+  DenseIdSet& processed = processed_[message.publisher.underlying()];
+  const std::uint64_t key = ProcessedKeyBase(packet);
+  for (NodeId subscriber : destinations_scratch_) {
+    processed.Insert(key | SubscriberKey(subscriber));
+  }
+  StartEpisode(message.publisher, packet, destinations_scratch_);
 }
 
 void DcrdRouter::OnArrival(NodeId at, const Packet& packet, NodeId /*from*/) {
   const bool rerouted_back = packet.OnRoutingPath(at);
-  auto& processed = processed_[at.underlying()][ProcessedKey(packet)];
+  DenseIdSet& processed = processed_[at.underlying()];
+  const std::uint64_t key = ProcessedKeyBase(packet);
 
-  std::vector<NodeId> remaining;
+  destinations_scratch_.clear();
   for (NodeId subscriber : packet.destinations()) {
     // A fresh visit handles each (message, subscriber) responsibility only
     // once; a rerouted-back packet re-opens responsibilities this broker
     // already forwarded into the now-failed subtree.
-    if (!rerouted_back && processed.contains(subscriber)) continue;
-    processed.insert(subscriber);
+    const bool fresh = processed.Insert(key | SubscriberKey(subscriber));
+    if (!fresh && !rerouted_back) continue;
     if (subscriber == at) {
       context_.sink->OnDelivered(packet.message(), subscriber,
                                  context_.network->scheduler().now());
     } else {
-      remaining.push_back(subscriber);
+      destinations_scratch_.push_back(subscriber);
     }
   }
-  if (remaining.empty()) return;
-  StartEpisode(at, packet.WithDestinations(std::move(remaining)));
+  if (destinations_scratch_.empty()) return;
+  StartEpisode(at, packet, destinations_scratch_);
 }
 
-void DcrdRouter::StartEpisode(NodeId node, Packet packet) {
-  const std::uint64_t id = next_episode_id_++;
-  Episode episode;
-  episode.id = id;
-  episode.node = node;
-  episode.pending = packet.destinations();
-  episode.base = std::move(packet);
-  episodes_.emplace(id, std::move(episode));
-  ProcessEpisode(id);
+void DcrdRouter::StartEpisode(NodeId node, const Packet& source,
+                              const std::vector<NodeId>& destinations) {
+  Episode* episode = nullptr;
+  const SlotHandle handle = episodes_.Acquire(&episode);
+  episode->node = node;
+  episode->base.AssignWithDestinations(source, destinations);
+  episode->pending = episode->base.destinations();
+  for (CopyGroup& copy : episode->copies) copy.in_flight = false;
+  episode->tried.clear();
+  episode->reroute_attempts.assign(episode->pending.size(), 0);
+  ProcessEpisode(handle);
 }
 
 NodeId DcrdRouter::UpstreamOf(const Episode& episode) const {
@@ -269,9 +277,16 @@ NodeId DcrdRouter::SelectNextHop(const Episode& episode,
   // The subscriber left (churn) while this packet was in flight: nowhere
   // to send — the caller drops the responsibility.
   if (tables_ptr == nullptr) return NodeId();
-  const auto tried_it = episode.tried.find(subscriber);
+  // This subscriber's run of tried hops in the sorted flat array.
+  const auto tried_begin =
+      std::lower_bound(episode.tried.begin(), episode.tried.end(),
+                       TriedHop{subscriber, NodeId(0)});
   const auto is_tried = [&](NodeId candidate) {
-    return tried_it != episode.tried.end() && tried_it->second.contains(candidate);
+    for (auto it = tried_begin;
+         it != episode.tried.end() && it->subscriber == subscriber; ++it) {
+      if (it->hop == candidate) return true;
+    }
+    return false;
   };
 
   NodeId choice;
@@ -311,98 +326,133 @@ NodeId DcrdRouter::SelectNextHop(const Episode& episode,
   // lines 10-12), bounded by the retry cap.
   const NodeId upstream = UpstreamOf(episode);
   if (!upstream.valid()) return NodeId();  // publisher: drop
-  const auto attempts_it = episode.reroute_attempts.find(subscriber);
-  if (attempts_it != episode.reroute_attempts.end() &&
-      attempts_it->second >= config_.reroute_retry_cap) {
+  if (episode.reroute_attempts[DestinationIndex(episode, subscriber)] >=
+      config_.reroute_retry_cap) {
     return NodeId();
   }
   return upstream;
 }
 
-void DcrdRouter::ProcessEpisode(std::uint64_t episode_id) {
-  auto it = episodes_.find(episode_id);
-  if (it == episodes_.end()) return;
-  Episode& episode = it->second;
+void DcrdRouter::ProcessEpisode(SlotHandle handle) {
+  Episode* const episode = episodes_.Get(handle);
+  if (episode == nullptr) return;
 
-  while (!episode.pending.empty()) {
+  while (!episode->pending.empty()) {
     // Decide the next hop for the first pending subscriber, then pull in
     // every other pending subscriber that picks the same hop (Algorithm 2,
     // lines 13-19).
-    const NodeId leader = episode.pending.front();
-    const NodeId next = SelectNextHop(episode, leader);
+    const NodeId leader = episode->pending.front();
+    const NodeId next = SelectNextHop(*episode, leader);
     if (!next.valid()) {
-      HandleUndeliverable(episode.node, episode.base, leader);
-      episode.pending.erase(episode.pending.begin());
+      HandleUndeliverable(episode->node, episode->base, leader);
+      episode->pending.erase(episode->pending.begin());
       continue;
     }
-    std::vector<NodeId> group;
-    std::vector<NodeId> still_pending;
-    for (NodeId subscriber : episode.pending) {
-      if (subscriber == leader || SelectNextHop(episode, subscriber) == next) {
-        group.push_back(subscriber);
+    const std::uint32_t copy_slot = AcquireCopy(*episode);
+    CopyGroup& group = episode->copies[copy_slot];
+    group.next_hop = next;
+    group.subscribers.clear();
+    // Split pending in place: the group leaves, the rest keeps its order.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < episode->pending.size(); ++i) {
+      const NodeId subscriber = episode->pending[i];
+      if (subscriber == leader || SelectNextHop(*episode, subscriber) == next) {
+        group.subscribers.push_back(subscriber);
       } else {
-        still_pending.push_back(subscriber);
+        episode->pending[kept++] = subscriber;
       }
     }
-    episode.pending = std::move(still_pending);
+    episode->pending.resize(kept);
 
-    const bool is_reroute = next == UpstreamOf(episode);
+    const bool is_reroute = next == UpstreamOf(*episode);
     if (is_reroute) {
-      for (NodeId subscriber : group) ++episode.reroute_attempts[subscriber];
+      for (NodeId subscriber : group.subscribers) {
+        ++episode->reroute_attempts[DestinationIndex(*episode, subscriber)];
+      }
     }
 
-    Packet copy = episode.base.WithDestinations(group);
-    copy.RecordOnPath(episode.node);
-    const auto link = context_.network->graph().FindEdge(episode.node, next);
+    // The send copy's two buffers are all this loop allocates: the
+    // transport takes the packet by value.
+    Packet copy = episode->base.WithDestinations(group.subscribers);
+    copy.RecordOnPath(episode->node);
+    const auto link = context_.network->graph().FindEdge(episode->node, next);
     DCRD_CHECK(link.has_value())
-        << "sending list refers to missing edge " << episode.node << "-"
+        << "sending list refers to missing edge " << episode->node << "-"
         << next;
     if (is_reroute && context_.recorder != nullptr) {
       context_.recorder->Record(
-          TraceEventKind::kReroute, episode.base.message().id.value, 0,
-          episode.node, next, *link, 0,
-          static_cast<std::uint16_t>(group.size()));
+          TraceEventKind::kReroute, episode->base.message().id.value, 0,
+          episode->node, next, *link, 0,
+          static_cast<std::uint16_t>(group.subscribers.size()));
     }
     const SimDuration timeout = context_.AckTimeout(view_->alpha(*link));
-    ++episode.in_flight;
     transport_.SendReliable(
-        episode.node, *link, std::move(copy), context_.max_transmissions,
-        timeout,
-        [this, episode_id, next, group](bool acked) mutable {
-          OnCopyResolved(episode_id, next, std::move(group), acked);
+        episode->node, *link, std::move(copy), context_.max_transmissions,
+        timeout, [this, handle, copy_slot](bool acked) {
+          OnCopyResolved(handle, copy_slot, acked);
         });
   }
-  FinishEpisodeIfIdle(episode_id);
+  FinishEpisodeIfIdle(handle);
 }
 
-void DcrdRouter::OnCopyResolved(std::uint64_t episode_id, NodeId next_hop,
-                                std::vector<NodeId> subscribers, bool acked) {
-  auto it = episodes_.find(episode_id);
-  if (it == episodes_.end()) {
-    // Only a broker crash erases an episode with copies still unresolved
+std::uint32_t DcrdRouter::AcquireCopy(Episode& episode) {
+  std::uint32_t slot = 0;
+  while (slot < episode.copies.size() && episode.copies[slot].in_flight) {
+    ++slot;
+  }
+  if (slot == episode.copies.size()) episode.copies.emplace_back();
+  episode.copies[slot].in_flight = true;
+  return slot;
+}
+
+std::size_t DcrdRouter::DestinationIndex(const Episode& episode,
+                                         NodeId subscriber) {
+  const std::vector<NodeId>& destinations = episode.base.destinations();
+  const auto it =
+      std::lower_bound(destinations.begin(), destinations.end(), subscriber);
+  DCRD_CHECK(it != destinations.end() && *it == subscriber)
+      << subscriber << " is not a destination of this episode";
+  return static_cast<std::size_t>(it - destinations.begin());
+}
+
+void DcrdRouter::OnCopyResolved(SlotHandle handle, std::uint32_t copy_slot,
+                                bool acked) {
+  Episode* const episode = episodes_.Get(handle);
+  if (episode == nullptr) {
+    // Only a broker crash releases an episode with copies still unresolved
     // (the crash kills the broker's own pendings without resolving them,
     // but a straggler resolution scheduled before the crash can still
-    // land). Without crashes a vanished episode is a bookkeeping bug.
+    // land); the slot's generation bump makes the handle stale. Without
+    // crashes a stale handle is a bookkeeping bug.
     DCRD_CHECK(context_.network->crashes().enabled())
-        << "copy resolved for vanished episode " << episode_id;
+        << "copy resolved for vanished episode (slot " << handle.slot
+        << ", generation " << handle.generation << ")";
     return;
   }
-  Episode& episode = it->second;
-  --episode.in_flight;
+  CopyGroup& group = episode->copies[copy_slot];
+  DCRD_CHECK(group.in_flight);
+  group.in_flight = false;
 
   if (!acked) {
     // Hop failed after m transmissions: mark tried (unless it was the
     // upstream reroute, which stays eligible under the retry cap) and put
     // the subscribers back on the pending list.
-    const bool was_reroute = next_hop == UpstreamOf(episode);
-    for (NodeId subscriber : subscribers) {
-      if (!was_reroute) episode.tried[subscriber].insert(next_hop);
-      episode.pending.push_back(subscriber);
+    const bool was_reroute = group.next_hop == UpstreamOf(*episode);
+    for (NodeId subscriber : group.subscribers) {
+      if (!was_reroute) {
+        const TriedHop tried{subscriber, group.next_hop};
+        const auto it = std::lower_bound(episode->tried.begin(),
+                                         episode->tried.end(), tried);
+        if (it == episode->tried.end() || *it != tried) {
+          episode->tried.insert(it, tried);
+        }
+      }
+      episode->pending.push_back(subscriber);
     }
-    ProcessEpisode(episode_id);
+    ProcessEpisode(handle);
     return;
   }
-  FinishEpisodeIfIdle(episode_id);
+  FinishEpisodeIfIdle(handle);
 }
 
 void DcrdRouter::RecordUndeliverable(NodeId node, const Packet& base,
@@ -420,10 +470,16 @@ void DcrdRouter::HandleUndeliverable(NodeId node, const Packet& base,
     RecordUndeliverable(node, base, subscriber);
     return;
   }
-  const auto key = std::make_tuple(node, base.message().id.value, subscriber);
-  int& attempts = persisted_[key];
+  DenseIdMap<int>& persisted = persisted_[node.underlying()];
+  // (message, subscriber), flow label left out: every generation of a
+  // retried responsibility shares one budget. Exact, as message ids were
+  // range-checked against the narrower ProcessedKey on the way in.
+  const std::uint64_t key =
+      (base.message().id.value << kKeySubscriberBits) |
+      SubscriberKey(subscriber);
+  int& attempts = *persisted.TryEmplace(key).first;
   if (attempts >= config_.persistence_max_retries) {
-    persisted_.erase(key);
+    persisted.Erase(key);
     ++dropped_undeliverable_;
     RecordUndeliverable(node, base, subscriber);
     return;
@@ -455,10 +511,11 @@ void DcrdRouter::HandleUndeliverable(NodeId node, const Packet& base,
         // explorable again, and a new persistence generation so the
         // processed-set dedup downstream does not mistake the retry for a
         // duplicate of the failed attempt.
-        Packet retry(message, {subscriber});
+        Packet retry(message, {});
         retry.set_flow_label(static_cast<std::uint8_t>(generation));
-        processed_[node.underlying()][ProcessedKey(retry)].insert(subscriber);
-        StartEpisode(node, std::move(retry));
+        processed_[node.underlying()].Insert(ProcessedKey(retry, subscriber));
+        destinations_scratch_.assign(1, subscriber);
+        StartEpisode(node, retry, destinations_scratch_);
       });
 }
 
@@ -466,15 +523,17 @@ std::size_t DcrdRouter::OnBrokerCrash(NodeId node) {
   // Transport first: pendings at `node` are killed without resolution and
   // its dedup windows cleared, so nothing below ever hears from them again.
   const std::size_t killed = transport_.OnBrokerCrash(node);
-  // Open processing episodes at the broker die with it.
-  std::erase_if(episodes_,
-                [&](const auto& kv) { return kv.second.node == node; });
+  // Open processing episodes at the broker die with it; their outstanding
+  // copy callbacks now hold stale handles.
+  std::vector<SlotHandle> dead;
+  episodes_.ForEachLiveHandle([&](SlotHandle handle) {
+    if (episodes_.Get(handle)->node == node) dead.push_back(handle);
+  });
+  for (SlotHandle handle : dead) episodes_.ReleaseLive(handle);
   processed_[node.underlying()].clear();
   // Persistency-mode parked packets were volatile state too. (The armed
   // retry timers re-check the crash schedule when they fire.)
-  std::erase_if(persisted_, [&](const auto& kv) {
-    return std::get<0>(kv.first) == node;
-  });
+  persisted_[node.underlying()].clear();
   // A crash inside a resync window voids the resync; the next restart
   // opens a fresh one and the old completion timer goes stale.
   resync_until_[node.underlying()] = SimTime();
@@ -553,11 +612,12 @@ void DcrdRouter::OnBrokerRestart(NodeId node) {
       });
 }
 
-void DcrdRouter::FinishEpisodeIfIdle(std::uint64_t episode_id) {
-  const auto it = episodes_.find(episode_id);
-  if (it == episodes_.end()) return;
-  if (it->second.pending.empty() && it->second.in_flight == 0) {
-    episodes_.erase(it);
+void DcrdRouter::FinishEpisodeIfIdle(SlotHandle handle) {
+  const Episode* const episode = episodes_.Get(handle);
+  if (episode == nullptr || !episode->pending.empty()) return;
+  if (std::none_of(episode->copies.begin(), episode->copies.end(),
+                   [](const CopyGroup& copy) { return copy.in_flight; })) {
+    episodes_.ReleaseLive(handle);
   }
 }
 

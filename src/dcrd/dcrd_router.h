@@ -24,15 +24,13 @@
 //    still delivered (the paper's delivery-ratio metric counts them).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <set>
-#include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/dense_map.h"
+#include "common/slot_map.h"
 #include "dcrd/distributed_dr.h"
 #include "dcrd/dr_computation.h"
 #include "routing/hop_transport.h"
@@ -114,9 +112,29 @@ class DcrdRouter final : public Router {
     transport_.SampleBrokerHealth(out);
   }
 
+  // Exact dedup key for the per-node processed set: the message id in bits
+  // 24..63, the packet's flow label — its persistence generation, so a
+  // stored-and-retried packet is not mistaken for a duplicate of its own
+  // failed first attempt — in bits 16..23, and the subscriber in bits 0..15.
+  // CHECK-fails when the message id or the subscriber does not fit.
+  static constexpr int kKeySubscriberBits = 16;
+  static constexpr int kKeyMessageBits = 64 - 8 - kKeySubscriberBits;
+  [[nodiscard]] static std::uint64_t ProcessedKey(const Packet& packet,
+                                                  NodeId subscriber) {
+    return ProcessedKeyBase(packet) | SubscriberKey(subscriber);
+  }
+  // Whether `node` has taken on the (message, flow label, subscriber)
+  // responsibility of `packet` this epoch: the processed-set membership
+  // Algorithm 2's dedup reads. Read-only.
+  [[nodiscard]] bool HasProcessed(NodeId node, const Packet& packet,
+                                  NodeId subscriber) const {
+    return processed_[node.underlying()].Contains(
+        ProcessedKey(packet, subscriber));
+  }
+
   // Fail-stop crash–recovery (see net/broker_lifecycle.h). A crash destroys
   // every piece of the broker's volatile state: transport pendings and
-  // dedup windows, open processing episodes, the per-node processed map and
+  // dedup windows, open processing episodes, the per-node processed set and
   // any packets parked by persistency mode. A restart opens a gossip-resync
   // window: in distributed mode the broker's <d,r> protocol state is reset
   // and re-announced with a fresh generation; in solver mode one control
@@ -130,35 +148,48 @@ class DcrdRouter final : public Router {
   }
 
  private:
+  // One copy of an episode: the next hop it went to and the subscribers it
+  // covers. A slot is reused once its copy resolves (ACK or timeout),
+  // keeping the subscriber buffer's capacity; an episode with no copy in
+  // flight and nothing pending is finished.
+  struct CopyGroup {
+    NodeId next_hop;
+    std::vector<NodeId> subscribers;
+    bool in_flight = false;
+  };
+  // A hop that stayed silent for m transmissions, for one subscriber.
+  struct TriedHop {
+    NodeId subscriber;
+    NodeId hop;
+    friend auto operator<=>(const TriedHop&, const TriedHop&) = default;
+  };
+  // Episodes live in a SlotMap and are recycled, not destroyed: StartEpisode
+  // overwrites every field, and the vectors keep their capacity.
   struct Episode {
-    std::uint64_t id = 0;
     NodeId node;
     Packet base;  // as received; the routing path does not yet include node
     std::vector<NodeId> pending;  // subscribers awaiting a next-hop decision
-    int in_flight = 0;            // copies awaiting ACK or timeout
-    std::map<NodeId, std::set<NodeId>> tried;  // per-subscriber tried hops
-    std::map<NodeId, int> reroute_attempts;    // per-subscriber upstream retries
+    std::vector<CopyGroup> copies;  // indexed by the callback's copy slot
+    // Per-subscriber tried hops, sorted by (subscriber, hop).
+    std::vector<TriedHop> tried;
+    // Per-subscriber upstream retries, indexed like base.destinations().
+    std::vector<int> reroute_attempts;
   };
 
   void OnArrival(NodeId at, const Packet& packet, NodeId from);
-  void StartEpisode(NodeId node, Packet packet);
+  // Opens an episode at `node` for `source` narrowed to `destinations`.
+  void StartEpisode(NodeId node, const Packet& source,
+                    const std::vector<NodeId>& destinations);
   // Persistency mode: parks the (message, subscriber) at `node` and arms a
   // retry timer; gives up into dropped_undeliverable_ past the retry cap.
   void HandleUndeliverable(NodeId node, const Packet& base, NodeId subscriber);
   // Flight-recorder kDrop[undeliverable] hook, fired exactly where
   // dropped_undeliverable_ increments.
   void RecordUndeliverable(NodeId node, const Packet& base, NodeId subscriber);
-  // Dedup key for the per-node processed map: message id tagged with the
-  // persistence generation, so a stored-and-retried packet is not mistaken
-  // for a duplicate of its own failed first attempt.
-  [[nodiscard]] static std::uint64_t ProcessedKey(const Packet& packet) {
-    return (packet.message().id.value << 8) | packet.flow_label();
-  }
   // Drives Algorithm 2's while-loop for one episode: groups pending
   // subscribers by chosen next hop and launches the copies.
-  void ProcessEpisode(std::uint64_t episode_id);
-  void OnCopyResolved(std::uint64_t episode_id, NodeId next_hop,
-                      std::vector<NodeId> subscribers, bool acked);
+  void ProcessEpisode(SlotHandle handle);
+  void OnCopyResolved(SlotHandle handle, std::uint32_t copy_slot, bool acked);
   // The first sending-list entry for `subscriber` that is neither on the
   // routing path nor tried; falls back to the upstream node; invalid NodeId
   // when the packet must be dropped.
@@ -175,7 +206,12 @@ class DcrdRouter final : public Router {
                                                 NodeId subscriber,
                                                 NodeId node) const;
   [[nodiscard]] NodeId UpstreamOf(const Episode& episode) const;
-  void FinishEpisodeIfIdle(std::uint64_t episode_id);
+  // A free CopyGroup slot of `episode`, marked in flight.
+  static std::uint32_t AcquireCopy(Episode& episode);
+  // Position of `subscriber` in the episode's (sorted) destinations.
+  [[nodiscard]] static std::size_t DestinationIndex(const Episode& episode,
+                                                    NodeId subscriber);
+  void FinishEpisodeIfIdle(SlotHandle handle);
   // True while `node` is inside its post-restart resync window.
   [[nodiscard]] bool ResyncActive(NodeId node) const {
     return context_.network->scheduler().now() <
@@ -186,6 +222,22 @@ class DcrdRouter final : public Router {
   // gossip rounds of slack), floored at 1 ms.
   [[nodiscard]] SimDuration ResyncWindow(NodeId node) const;
 
+  // ProcessedKey split into its message and subscriber halves, so a packet's
+  // message part is range-checked once for all its destinations.
+  [[nodiscard]] static std::uint64_t ProcessedKeyBase(const Packet& packet) {
+    const std::uint64_t id = packet.message().id.value;
+    DCRD_CHECK(id >> kKeyMessageBits == 0)
+        << "message id " << id << " exceeds the dedup key's "
+        << kKeyMessageBits << " bits";
+    return ((id << 8) | packet.flow_label()) << kKeySubscriberBits;
+  }
+  [[nodiscard]] static std::uint64_t SubscriberKey(NodeId subscriber) {
+    DCRD_CHECK(subscriber.underlying() >> kKeySubscriberBits == 0)
+        << "subscriber " << subscriber << " exceeds the dedup key's "
+        << kKeySubscriberBits << " bits";
+    return subscriber.underlying();
+  }
+
   RouterContext context_;
   DcrdConfig config_;
   HopTransport transport_;
@@ -193,8 +245,10 @@ class DcrdRouter final : public Router {
 
   // tables_[topic][subscriber index within the topic's subscription list]
   std::vector<std::vector<DestinationTables>> tables_;
-  // (topic, subscriber node) -> index into tables_[topic] / gossip_[topic]
-  std::vector<std::unordered_map<NodeId, std::size_t>> subscriber_index_;
+  // subscriber_index_[topic][subscriber node] -> index into tables_[topic] /
+  // gossip_[topic], or kNoSubscriber.
+  static constexpr std::uint32_t kNoSubscriber = ~0U;
+  std::vector<std::vector<std::uint32_t>> subscriber_index_;
 
   // Distributed mode: one gossip pair per destination plus a lazily
   // refreshed snapshot cache (rebuilt only when the protocol's version
@@ -209,8 +263,7 @@ class DcrdRouter final : public Router {
       const GossipTables& gossip) const;
   std::vector<std::vector<GossipTables>> gossip_;
 
-  std::unordered_map<std::uint64_t, Episode> episodes_;
-  std::uint64_t next_episode_id_ = 1;
+  SlotMap<Episode> episodes_;
   // Per-node duplicate suppression, keyed by (message, destination): a
   // broker processes each (message, subscriber) responsibility at most once
   // per epoch on a *fresh* visit. Keying by message alone would be wrong —
@@ -218,12 +271,15 @@ class DcrdRouter final : public Router {
   // legitimately reconverge at a broker after failure-driven divergence,
   // and the second group must still be forwarded. Rerouted-back packets
   // bypass the check via routing-path membership (the broker must re-handle
-  // responsibilities its failed subtree returned). Cleared at monitoring
+  // responsibilities its failed subtree returned). One flat set per broker
+  // of exact ProcessedKey values; cleared (capacity kept) at monitoring
   // epochs to bound memory.
-  std::vector<std::unordered_map<std::uint64_t, std::set<NodeId>>>
-      processed_;
-  // Persistency-mode state: retry attempts per (node, message, subscriber).
-  std::map<std::tuple<NodeId, std::uint64_t, NodeId>, int> persisted_;
+  std::vector<DenseIdSet> processed_;
+  // Persistency-mode state: retry attempts per (message, subscriber), one
+  // map per broker, keyed by (message id << 16) | subscriber.
+  std::vector<DenseIdMap<int>> persisted_;
+  // Destination-list scratch for Publish, OnArrival and persistence retries.
+  std::vector<NodeId> destinations_scratch_;
   std::uint64_t dropped_undeliverable_ = 0;
   std::uint64_t persisted_packets_ = 0;
   std::uint64_t persistence_retries_ = 0;

@@ -76,11 +76,27 @@ class Packet {
 
   // Derives the packet a broker actually sends: same message and path,
   // destination set narrowed to the subscribers the chosen next hop covers.
-  [[nodiscard]] Packet WithDestinations(std::vector<NodeId> dests) const {
-    Packet out = *this;
-    out.destinations_ = std::move(dests);
-    std::sort(out.destinations_.begin(), out.destinations_.end());
+  [[nodiscard]] Packet WithDestinations(
+      const std::vector<NodeId>& dests) const {
+    Packet out;
+    out.AssignWithDestinations(*this, dests);
     return out;
+  }
+
+  // WithDestinations into an existing packet: becomes `source` narrowed to
+  // `dests`, reusing this packet's buffer capacity. The routing path keeps
+  // room for one more entry, so the RecordOnPath that precedes every send
+  // does not reallocate. `source` must not be this packet.
+  void AssignWithDestinations(const Packet& source,
+                              const std::vector<NodeId>& dests) {
+    DCRD_CHECK(&source != this);
+    message_ = source.message_;
+    flow_label_ = source.flow_label_;
+    routing_path_.reserve(source.routing_path_.size() + 1);
+    routing_path_.assign(source.routing_path_.begin(),
+                         source.routing_path_.end());
+    destinations_.assign(dests.begin(), dests.end());
+    std::sort(destinations_.begin(), destinations_.end());
   }
 
  private:

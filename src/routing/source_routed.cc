@@ -111,8 +111,8 @@ void SourceRoutedRouter::ForwardGroups(NodeId at, const Packet& packet,
     if (!next.valid()) continue;  // purged route: abandon, as on a real node
     groups[next].push_back(subscriber);
   }
-  for (auto& [next, subscribers] : groups) {
-    Packet copy = packet.WithDestinations(std::move(subscribers));
+  for (const auto& [next, subscribers] : groups) {
+    Packet copy = packet.WithDestinations(subscribers);
     copy.RecordOnPath(at);
     const auto link = graph().FindEdge(at, next);
     DCRD_CHECK(link.has_value());
