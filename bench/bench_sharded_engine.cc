@@ -7,7 +7,7 @@
 // identical results — a bench run that broke determinism is worthless and
 // must say so loudly.
 //
-//   bench_sharded_engine --brokers 160,1000,10000 --shards 0 --rounds 3 \
+//   bench_sharded_engine --brokers 160,1000,10000 --shards 0 --rounds 3
 //       --seconds 30 --bench_json BENCH_sharded_engine.json
 //
 // --shards 0 means hardware concurrency. Records land in the JSON

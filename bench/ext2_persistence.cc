@@ -13,9 +13,11 @@
 // Expected: persistence closes the delivery-ratio gap toward 100% at
 // unchanged QoS ratio (rescued packets are late by construction), paying
 // extra traffic for the retries — the "large overhead" the paper predicts,
-// quantified.
+// quantified. With --csv, each persistence mode's Pf sweep is saved like the
+// other figures' (ext2_persistence_off.csv, ext2_persistence_on.csv).
 #include <iomanip>
 #include <iostream>
+#include <string>
 
 #include "common/flags.h"
 #include "figure_common.h"
@@ -33,6 +35,15 @@ int main(int argc, char** argv) {
             << "persistence" << std::right << std::setw(12) << "delivery"
             << std::setw(12) << "QoS" << std::setw(14) << "pkts/sub"
             << "\n";
+  // One DCRD sweep over Pf per persistence mode, for the CSVs.
+  dcrd::SweepResult sweeps[2];
+  for (const bool persistence : {false, true}) {
+    dcrd::SweepResult& sweep = sweeps[persistence ? 1 : 0];
+    sweep.title = std::string("Ext.2 persistence ") +
+                  (persistence ? "on" : "off");
+    sweep.x_label = "Pf";
+    sweep.routers = {dcrd::RouterKind::kDcrd};
+  }
   for (const double pf : {0.02, 0.06, 0.10}) {
     for (const bool persistence : {false, true}) {
       const dcrd::RunSummary pooled = dcrd::figures::RunFigureReps(
@@ -61,7 +72,11 @@ int main(int argc, char** argv) {
                 << pooled.qos_ratio() << std::setw(14)
                 << pooled.packets_per_subscriber() << "\n";
       std::cout.unsetf(std::ios::fixed);
+      sweeps[persistence ? 1 : 0].points.push_back(
+          dcrd::SweepPoint{pf, {pooled}});
     }
   }
+  dcrd::figures::MaybeSaveCsv(scale, "ext2_persistence_off", sweeps[0]);
+  dcrd::figures::MaybeSaveCsv(scale, "ext2_persistence_on", sweeps[1]);
   return 0;
 }

@@ -45,8 +45,8 @@ for binary_name in $binaries; do
 
   serial="$workdir/$binary_name.serial"
   parallel="$workdir/$binary_name.parallel"
-  # ext2_persistence prints its table but writes no CSV: pre-create the
-  # capture directories so such a binary compares an empty CSV set.
+  # Pre-create the capture directories so a binary that writes no CSV
+  # compares an empty CSV set.
   mkdir -p "$serial" "$parallel"
   "$binary" --reps "$reps" --seconds "$sim_seconds" --jobs 1 \
     --csv "$serial" > "$serial.out"

@@ -49,16 +49,31 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
       if (gossip.unconstrained) gossip.unconstrained->Stop();
     }
   }
-  tables_.assign(subs.topic_count(), {});
+  // Solver tables are rewritten slot by slot: resize (not assign) keeps last
+  // epoch's DestinationTables and the capacity of their per-node lists.
+  tables_.resize(subs.topic_count());
   gossip_.assign(subs.topic_count(), {});
   subscriber_index_.resize(subs.topic_count());
+  std::vector<std::vector<double>> publisher_dists(subs.topic_count());
+  // Solver mode: every (subscriber, topic, slot) to compute, filled below.
+  struct PendingTable {
+    NodeId subscriber;
+    std::uint32_t topic = 0;
+    std::uint32_t slot = 0;
+    auto operator<=>(const PendingTable&) const = default;
+  };
+  std::vector<PendingTable> pending;
   for (std::size_t t = 0; t < subs.topic_count(); ++t) {
     const TopicId topic(static_cast<TopicId::underlying_type>(t));
     const NodeId publisher = subs.publisher(topic);
-    const std::vector<double> publisher_dist =
-        MonitoredDistancesFrom(graph, view, publisher);
+    publisher_dists[t] = MonitoredDistancesFrom(graph, view, publisher);
+    const std::vector<double>& publisher_dist = publisher_dists[t];
     std::vector<std::uint32_t>& index = subscriber_index_[t];
     index.assign(graph.node_count(), kNoSubscriber);
+    tables_[t].resize(config_.use_distributed_computation
+                          ? 0
+                          : subs.subscriptions(topic).size());
+    std::uint32_t slot = 0;
     for (const Subscription& sub : subs.subscriptions(topic)) {
       if (config_.use_distributed_computation) {
         index[sub.subscriber.underlying()] =
@@ -84,14 +99,26 @@ void DcrdRouter::Rebuild(const MonitoredView& view) {
         }
         gossip_[t].push_back(std::move(gossip));
       } else {
-        index[sub.subscriber.underlying()] =
-            static_cast<std::uint32_t>(tables_[t].size());
-        tables_[t].push_back(ComputeDestinationTables(
-            graph, view, sub.subscriber,
-            static_cast<double>(sub.deadline.micros()), publisher_dist,
-            config_.computation));
+        index[sub.subscriber.underlying()] = slot;
+        pending.push_back(PendingTable{
+            sub.subscriber, static_cast<std::uint32_t>(t), slot++});
       }
     }
+  }
+  if (pending.empty()) return;
+
+  // One kernel for the whole rebuild, fed subscriber by subscriber: it then
+  // solves each subscriber's sweep order and fallback fixed point once for
+  // all of that subscriber's topics.
+  std::sort(pending.begin(), pending.end());
+  DrKernel kernel(graph, view, config_.computation);
+  for (const PendingTable& entry : pending) {
+    const TopicId topic(static_cast<TopicId::underlying_type>(entry.topic));
+    const Subscription& sub = subs.subscriptions(topic)[entry.slot];
+    kernel.Compute(entry.subscriber,
+                   static_cast<double>(sub.deadline.micros()),
+                   publisher_dists[entry.topic],
+                   tables_[entry.topic][entry.slot]);
   }
 }
 
@@ -371,10 +398,10 @@ void DcrdRouter::ProcessEpisode(SlotHandle handle) {
       }
     }
 
-    // The send copy's two buffers are all this loop allocates: the
-    // transport takes the packet by value.
-    Packet copy = episode->base.WithDestinations(group.subscribers);
-    copy.RecordOnPath(episode->node);
+    // Narrowed into the router's scratch packet; the transport copies it
+    // into its pending slot, so neither side allocates once warm.
+    send_scratch_.AssignWithDestinations(episode->base, group.subscribers);
+    send_scratch_.RecordOnPath(episode->node);
     const auto link = context_.network->graph().FindEdge(episode->node, next);
     DCRD_CHECK(link.has_value())
         << "sending list refers to missing edge " << episode->node << "-"
@@ -387,7 +414,7 @@ void DcrdRouter::ProcessEpisode(SlotHandle handle) {
     }
     const SimDuration timeout = context_.AckTimeout(view_->alpha(*link));
     transport_.SendReliable(
-        episode->node, *link, std::move(copy), context_.max_transmissions,
+        episode->node, *link, send_scratch_, context_.max_transmissions,
         timeout, [this, handle, copy_slot](bool acked) {
           OnCopyResolved(handle, copy_slot, acked);
         });

@@ -280,6 +280,9 @@ class DcrdRouter final : public Router {
   std::vector<DenseIdMap<int>> persisted_;
   // Destination-list scratch for Publish, OnArrival and persistence retries.
   std::vector<NodeId> destinations_scratch_;
+  // Send-copy scratch for ProcessEpisode: each copy is narrowed here and
+  // handed to the transport, which copies it into a recycled pending slot.
+  Packet send_scratch_;
   std::uint64_t dropped_undeliverable_ = 0;
   std::uint64_t persisted_packets_ = 0;
   std::uint64_t persistence_retries_ = 0;

@@ -7,23 +7,43 @@ namespace dcrd {
 
 namespace {
 
+// Sorts in place without scratch memory: sending lists are a node's
+// degree long and rebuilt on every sweep, so the temporary buffers of
+// std::stable_partition/std::stable_sort would dominate the cost. Both
+// passes are stable, so the result is the one std::stable_partition +
+// std::stable_sort produce under the same strict weak ordering.
 template <typename Less>
 void SortUsable(std::vector<ViaEntry>& entries, Less less) {
   // Unreachable entries (r == 0 or infinite d) go to the back untouched;
   // including them in the comparators would produce inf*0 = NaN and break
   // strict weak ordering.
-  const auto usable_end = std::stable_partition(
-      entries.begin(), entries.end(), [](const ViaEntry& e) {
-        return e.r_via > 0.0 && e.d_via_us < kInfiniteDelay;
-      });
-  std::stable_sort(entries.begin(), usable_end, less);
+  auto usable_end = entries.begin();
+  for (auto it = entries.begin(); it != entries.end(); ++it) {
+    if (!(it->r_via > 0.0 && it->d_via_us < kInfiniteDelay)) continue;
+    // [usable_end, it) holds only unusable entries; shifting them up one
+    // keeps their order.
+    std::rotate(usable_end, it, it + 1);
+    ++usable_end;
+  }
+  // Stable insertion sort: an entry moves left only past strictly greater
+  // ones.
+  for (auto it = entries.begin(); it != usable_end; ++it) {
+    const ViaEntry entry = *it;
+    auto hole = it;
+    for (; hole != entries.begin() && less(entry, *(hole - 1)); --hole) {
+      *hole = *(hole - 1);
+    }
+    *hole = entry;
+  }
 }
 
 }  // namespace
 
 void SortByTheorem1(std::vector<ViaEntry>& entries) {
   SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
-    // d_a/r_a < d_b/r_b via cross-multiplication (exact, no division).
+    // d_a/r_a < d_b/r_b via cross-multiplication (no division). Products
+    // that round equal fall to the id tie-break, so ratios an ulp apart
+    // can order intransitively (see DESIGN §8.2).
     const double lhs = a.d_via_us * b.r_via;
     const double rhs = b.d_via_us * a.r_via;
     if (lhs != rhs) return lhs < rhs;

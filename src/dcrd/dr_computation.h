@@ -20,6 +20,8 @@
 // contribute to the advertised <d_X, r_X>.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -55,9 +57,60 @@ struct DestinationTables {
   bool converged = false;
 };
 
+// The <d,r> kernel for one (graph, view, config): everything that does not
+// depend on the destination is computed once and shared by Compute calls.
+//  * Eq. 1 is applied once per link at construction (the lifted-link table).
+//  * The sweep order (Dijkstra from the subscriber) and the unconstrained
+//    fixed point behind the fallback lists depend only on the subscriber.
+//    The kernel keeps them for the last subscriber it saw, so a caller that
+//    feeds all of a subscriber's destinations in a row solves them once.
+//  * Eligible lists are built in reused scratch, and Compute writes into a
+//    caller-owned DestinationTables, so a slot recycled from the previous
+//    epoch keeps its buffers.
+// Every step is a pure function of the same inputs as the per-call
+// algorithm it replaced, so the output is bit-identical to it wherever the
+// ordering policy is a strict weak ordering on the list (DESIGN §8.2).
+class DrKernel {
+ public:
+  DrKernel(const Graph& graph, const MonitoredView& view,
+           const DrComputationConfig& config);
+
+  // Overwrites every field of `out` with the tables toward `subscriber`.
+  // `publisher_dist_us` is as for ComputeDestinationTables.
+  void Compute(NodeId subscriber, double deadline_us,
+               const std::vector<double>& publisher_dist_us,
+               DestinationTables& out);
+
+ private:
+  // Makes order_ and free_dr_ current for `subscriber`.
+  void Prepare(NodeId subscriber);
+  // Synchronous Gauss–Seidel sweeps to the <d,r> fixed point under the
+  // per-node budgets, into `dr`. Returns {sweeps used, converged}.
+  std::pair<int, bool> SolveFixedPoint(NodeId subscriber,
+                                       const std::vector<double>& budget_us,
+                                       const std::vector<std::uint32_t>& order,
+                                       std::vector<DR>& dr);
+  // X's eligible entries (neighbours with d_i < budget, lifted across the
+  // link) into `out`, sorted under the configured ordering policy.
+  void CollectEligible(const std::vector<DR>& dr, NodeId x, double budget_us,
+                       std::vector<ViaEntry>& out) const;
+
+  const Graph& graph_;
+  const MonitoredView& view_;
+  DrComputationConfig config_;
+  std::vector<LinkModel> lifted_;      // Eq. 1 per LinkId
+  NodeId prepared_;                    // subscriber of order_ and free_dr_
+  std::vector<std::uint32_t> order_;  // sweep order, closest first
+  std::vector<DR> free_dr_;            // unconstrained fixed point
+  std::vector<double> no_budget_;      // +infinity everywhere
+  std::vector<DR> dr_;                 // constrained fixed point scratch
+  std::vector<ViaEntry> eligible_;     // sweep and list scratch
+};
+
 // `publisher_dist_us[x]` is the monitored shortest delay from the publisher
 // to node x (infinity when unreachable); the caller computes it once per
-// topic and shares it across that topic's subscribers.
+// topic and shares it across that topic's subscribers. One-shot wrapper
+// over DrKernel.
 DestinationTables ComputeDestinationTables(
     const Graph& graph, const MonitoredView& view, NodeId subscriber,
     double deadline_us, const std::vector<double>& publisher_dist_us,

@@ -8,8 +8,9 @@
 
 namespace dcrd {
 
-void HopTransport::SendReliable(NodeId from, LinkId link, Packet packet,
-                                int max_tx, SimDuration ack_timeout,
+void HopTransport::SendReliable(NodeId from, LinkId link,
+                                const Packet& packet, int max_tx,
+                                SimDuration ack_timeout,
                                 DoneCallback done) {
   DCRD_CHECK(max_tx >= 1);
   DCRD_CHECK(max_tx <= kMaxTransmissionBudget)
@@ -19,9 +20,9 @@ void HopTransport::SendReliable(NodeId from, LinkId link, Packet packet,
   Pending& pending = *pending_.Get(slot);
   pending.from = from;
   pending.link = link;
-  // Move-assignment; the slot's previous packet buffers are released into
-  // `packet`'s husk, the slab keeps no stale heap state.
-  pending.packet = std::move(packet);
+  // Copy-assignment: the recycled slot's packet buffers keep their
+  // capacity, so a warm send allocates nothing.
+  pending.packet = packet;
   pending.transmissions_left = max_tx;
   pending.ack_timeout = ack_timeout;
   pending.done = std::move(done);

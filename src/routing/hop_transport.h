@@ -147,13 +147,14 @@ class HopTransport {
   HopTransport(const HopTransport&) = delete;
   HopTransport& operator=(const HopTransport&) = delete;
 
-  // Sends `packet` from `from` over `link`, retrying until `max_tx` total
-  // transmissions. `ack_timeout` is the fixed per-transmission timer in
-  // fixed mode and the estimator seed in adaptive mode. `done` may start
-  // further sends; it is always invoked from a scheduler event (never
-  // re-entrantly).
-  void SendReliable(NodeId from, LinkId link, Packet packet, int max_tx,
-                    SimDuration ack_timeout, DoneCallback done);
+  // Sends a copy of `packet` from `from` over `link`, retrying until
+  // `max_tx` total transmissions. The copy lands in a recycled slot, so a
+  // caller that reuses one scratch packet per send allocates nothing.
+  // `ack_timeout` is the fixed per-transmission timer in fixed mode and the
+  // estimator seed in adaptive mode. `done` may start further sends; it is
+  // always invoked from a scheduler event (never re-entrantly).
+  void SendReliable(NodeId from, LinkId link, const Packet& packet,
+                    int max_tx, SimDuration ack_timeout, DoneCallback done);
 
   // Ages receiver-side duplicate-suppression state to bound memory over
   // multi-hour runs. Rotation (not a hard clear): a spurious retransmission

@@ -68,7 +68,7 @@ void SourceRoutedRouter::Publish(const Message& message) {
     DCRD_CHECK(link.has_value()) << "route uses missing edge " << origin
                                  << "-" << next;
     const SimDuration timeout = context_.AckTimeout(view().alpha(*link));
-    transport_.SendReliable(origin, *link, std::move(packet),
+    transport_.SendReliable(origin, *link, packet,
                             context_.max_transmissions, timeout,
                             /*done=*/nullptr);
   }
@@ -117,7 +117,7 @@ void SourceRoutedRouter::ForwardGroups(NodeId at, const Packet& packet,
     const auto link = graph().FindEdge(at, next);
     DCRD_CHECK(link.has_value());
     const SimDuration timeout = context_.AckTimeout(view().alpha(*link));
-    transport_.SendReliable(at, *link, std::move(copy),
+    transport_.SendReliable(at, *link, copy,
                             context_.max_transmissions, timeout,
                             /*done=*/nullptr);
   }

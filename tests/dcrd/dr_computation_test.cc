@@ -1,6 +1,12 @@
 #include "dcrd/dr_computation.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -203,6 +209,469 @@ TEST(DrComputationTest, DLowerBoundedByShortestPath) {
       EXPECT_GE(tables.per_node[v].dr.d_us, to_sub[v] - 1.0) << "node " << v;
     }
   }
+}
+
+
+// --- Differential check of the DrKernel against a reference model ----------
+//
+// The reference is the straightforward algorithm the kernel replaced: every
+// call lifts each link again (Eq. 1) on every neighbour visit, re-solves the
+// sweep order and the unconstrained fixed point, and sorts through
+// std::stable_partition + std::stable_sort into fresh vectors. The kernel
+// must reproduce it bit for bit.
+namespace reference {
+
+bool Usable(const ViaEntry& e) {
+  return e.r_via > 0.0 && e.d_via_us < kInfiniteDelay;
+}
+
+// The ordering policies' comparators over usable entries.
+bool Less(OrderingPolicy policy, const ViaEntry& a, const ViaEntry& b) {
+  switch (policy) {
+    case OrderingPolicy::kTheorem1: {
+      const double lhs = a.d_via_us * b.r_via;
+      const double rhs = b.d_via_us * a.r_via;
+      if (lhs != rhs) return lhs < rhs;
+      return a.neighbor < b.neighbor;
+    }
+    case OrderingPolicy::kDelayFirst:
+      if (a.d_via_us != b.d_via_us) return a.d_via_us < b.d_via_us;
+      return a.neighbor < b.neighbor;
+    case OrderingPolicy::kReliabilityFirst:
+      if (a.r_via != b.r_via) return a.r_via > b.r_via;
+      return a.neighbor < b.neighbor;
+  }
+  return false;
+}
+
+void SortByPolicy(std::vector<ViaEntry>& entries, OrderingPolicy policy) {
+  const auto usable_end =
+      std::stable_partition(entries.begin(), entries.end(), Usable);
+  std::stable_sort(entries.begin(), usable_end,
+                   [policy](const ViaEntry& a, const ViaEntry& b) {
+                     return Less(policy, a, b);
+                   });
+}
+
+std::vector<ViaEntry> CollectEligible(const Graph& graph,
+                                      const MonitoredView& view,
+                                      const std::vector<DR>& dr, NodeId x,
+                                      double budget_us, int m,
+                                      OrderingPolicy ordering) {
+  std::vector<ViaEntry> eligible;
+  for (const Neighbor& nb : graph.neighbors(x)) {
+    const DR& dr_i = dr[nb.peer.underlying()];
+    if (!dr_i.reachable() || !(dr_i.d_us < budget_us)) continue;
+    const LinkModel single{static_cast<double>(view.alpha(nb.link).micros()),
+                           view.gamma(nb.link)};
+    const LinkModel lifted = MTransmissionModel(single, m);
+    if (lifted.gamma <= 0.0) continue;
+    eligible.push_back(LiftAcrossLink(nb.peer, nb.link, lifted, dr_i));
+  }
+  reference::SortByPolicy(eligible, ordering);
+  return eligible;
+}
+
+struct FixedPoint {
+  std::vector<DR> dr;
+  int sweeps_used = 0;
+  bool converged = false;
+};
+
+FixedPoint SolveFixedPoint(const Graph& graph, const MonitoredView& view,
+                           NodeId subscriber,
+                           const std::vector<double>& budget_us,
+                           const std::vector<std::uint32_t>& order,
+                           const DrComputationConfig& config) {
+  FixedPoint result;
+  result.dr.assign(graph.node_count(), DR{});
+  result.dr[subscriber.underlying()] = DR{0.0, 1.0};
+  for (; result.sweeps_used < config.max_sweeps && !result.converged;
+       ++result.sweeps_used) {
+    double max_delta = 0.0;
+    for (std::uint32_t idx : order) {
+      const NodeId x(idx);
+      if (x == subscriber) continue;
+      const DR updated = CombineOrdered(
+          CollectEligible(graph, view, result.dr, x, budget_us[idx],
+                          config.max_transmissions, config.ordering));
+      const DR previous = result.dr[idx];
+      if (updated.reachable() != previous.reachable()) {
+        max_delta = kInfiniteDelay;
+      } else if (updated.reachable()) {
+        max_delta = std::max(max_delta, std::abs(updated.d_us - previous.d_us));
+        max_delta =
+            std::max(max_delta, std::abs(updated.r - previous.r) * 1e6);
+      }
+      result.dr[idx] = updated;
+    }
+    result.converged = max_delta <= config.tolerance_us;
+  }
+  return result;
+}
+
+DestinationTables Compute(const Graph& graph, const MonitoredView& view,
+                          NodeId subscriber, double deadline_us,
+                          const std::vector<double>& publisher_dist_us,
+                          const DrComputationConfig& config) {
+  const std::size_t n = graph.node_count();
+  DestinationTables tables;
+  tables.subscriber = subscriber;
+  tables.deadline_us = deadline_us;
+  tables.budget_us.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tables.budget_us[i] = deadline_us - publisher_dist_us[i];
+  }
+  tables.budget_us[subscriber.underlying()] =
+      std::max(tables.budget_us[subscriber.underlying()], 1.0);
+
+  const std::vector<double> to_subscriber =
+      MonitoredDistancesFrom(graph, view, subscriber);
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0U);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return to_subscriber[a] < to_subscriber[b];
+                   });
+
+  const FixedPoint constrained =
+      SolveFixedPoint(graph, view, subscriber, tables.budget_us, order, config);
+  tables.sweeps_used = constrained.sweeps_used;
+  tables.converged = constrained.converged;
+  FixedPoint unconstrained;
+  if (config.build_fallback) {
+    unconstrained = SolveFixedPoint(graph, view, subscriber,
+                                    std::vector<double>(n, kInfiniteDelay),
+                                    order, config);
+  }
+
+  tables.per_node.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId x(static_cast<NodeId::underlying_type>(i));
+    NodeTables& node = tables.per_node[i];
+    if (x == subscriber) {
+      node.dr = DR{0.0, 1.0};
+      continue;
+    }
+    node.dr = constrained.dr[i];
+    node.primary =
+        CollectEligible(graph, view, constrained.dr, x, tables.budget_us[i],
+                        config.max_transmissions, config.ordering);
+    if (config.build_fallback) {
+      std::vector<ViaEntry> fallback = CollectEligible(
+          graph, view, unconstrained.dr, x, kInfiniteDelay,
+          config.max_transmissions, config.ordering);
+      std::erase_if(fallback, [&](const ViaEntry& entry) {
+        return std::any_of(node.primary.begin(), node.primary.end(),
+                           [&](const ViaEntry& p) {
+                             return p.neighbor == entry.neighbor;
+                           });
+      });
+      node.fallback = std::move(fallback);
+    }
+  }
+  return tables;
+}
+
+}  // namespace reference
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool SameList(const std::vector<ViaEntry>& a, const std::vector<ViaEntry>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k].neighbor != b[k].neighbor || a[k].link != b[k].link ||
+        !SameBits(a[k].d_via_us, b[k].d_via_us) ||
+        !SameBits(a[k].r_via, b[k].r_via)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Bit-for-bit comparison of every field; the first difference is reported.
+testing::AssertionResult SameTables(const DestinationTables& expected,
+                                    const DestinationTables& actual) {
+  if (expected.subscriber != actual.subscriber ||
+      !SameBits(expected.deadline_us, actual.deadline_us)) {
+    return testing::AssertionFailure() << "destination header differs";
+  }
+  if (expected.sweeps_used != actual.sweeps_used ||
+      expected.converged != actual.converged) {
+    return testing::AssertionFailure()
+           << "sweeps " << expected.sweeps_used << "/" << expected.converged
+           << " vs " << actual.sweeps_used << "/" << actual.converged;
+  }
+  if (expected.budget_us.size() != actual.budget_us.size() ||
+      expected.per_node.size() != actual.per_node.size()) {
+    return testing::AssertionFailure() << "node count differs";
+  }
+  for (std::size_t v = 0; v < expected.per_node.size(); ++v) {
+    const NodeTables& e = expected.per_node[v];
+    const NodeTables& a = actual.per_node[v];
+    if (!SameBits(expected.budget_us[v], actual.budget_us[v])) {
+      return testing::AssertionFailure() << "budget_us differs at node " << v;
+    }
+    if (!SameBits(e.dr.d_us, a.dr.d_us) || !SameBits(e.dr.r, a.dr.r)) {
+      return testing::AssertionFailure() << "dr differs at node " << v;
+    }
+    if (!SameList(e.primary, a.primary)) {
+      return testing::AssertionFailure() << "primary differs at node " << v;
+    }
+    if (!SameList(e.fallback, a.fallback)) {
+      return testing::AssertionFailure() << "fallback differs at node " << v;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+// Monitored estimates as a LinkMonitor produces them: alpha near the true
+// delay, gamma anywhere in [floor, 1] with a share of links pinned at the
+// floor (a link that failed every probe) and a share at exactly 1.
+MonitoredView RandomView(const Graph& graph, Rng& rng) {
+  constexpr double kGammaFloor = 1e-4;
+  std::vector<SimDuration> alphas;
+  std::vector<double> gammas;
+  for (std::size_t e = 0; e < graph.edge_count(); ++e) {
+    const SimDuration delay =
+        graph.edge(LinkId(static_cast<LinkId::underlying_type>(e))).delay;
+    alphas.push_back(SimDuration::Micros(static_cast<std::int64_t>(
+        static_cast<double>(delay.micros()) * rng.NextDoubleInRange(0.8, 1.2))));
+    const double u = rng.NextDouble();
+    gammas.push_back(u < 0.1   ? kGammaFloor
+                     : u < 0.3 ? 1.0
+                               : rng.NextDoubleInRange(kGammaFloor, 1.0));
+  }
+  return MonitoredView(std::move(alphas), std::move(gammas));
+}
+
+std::string ConfigName(const DrComputationConfig& config) {
+  return "m=" + std::to_string(config.max_transmissions) + " ordering=" +
+         std::to_string(static_cast<int>(config.ordering)) +
+         " fallback=" + std::to_string(config.build_fallback);
+}
+
+TEST(DrKernelDifferentialTest, MatchesReferenceOnRandomGraphs) {
+  constexpr OrderingPolicy kPolicies[] = {OrderingPolicy::kTheorem1,
+                                          OrderingPolicy::kDelayFirst,
+                                          OrderingPolicy::kReliabilityFirst};
+  Rng rng(2024);
+  int compared = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n = 20 + rng.NextBounded(61);       // 20..80 nodes
+    const std::size_t degree = 3 + rng.NextBounded(10);   // degree 3..12
+    const Graph graph = RandomConnected(n, degree, rng);
+    const MonitoredView view = RandomView(graph, rng);
+    // Three topics from distinct publishers whose subscriber sets overlap,
+    // so most subscribers recur across topics within one kernel.
+    std::vector<NodeId> publishers;
+    std::vector<std::vector<double>> publisher_dist;
+    for (int t = 0; t < 3; ++t) {
+      publishers.emplace_back(static_cast<NodeId::underlying_type>(
+          rng.NextBounded(n)));
+      publisher_dist.push_back(
+          MonitoredDistancesFrom(graph, view, publishers.back()));
+    }
+    std::vector<NodeId> subscribers;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (rng.NextBernoulli(0.3)) {
+        subscribers.emplace_back(static_cast<NodeId::underlying_type>(v));
+      }
+    }
+    subscribers.push_back(publishers[0]);  // a self-subscription
+    for (const int m : {1, 2, 3}) {
+      for (const OrderingPolicy policy : kPolicies) {
+        for (const bool fallback : {true, false}) {
+          DrComputationConfig config;
+          config.max_transmissions = m;
+          config.ordering = policy;
+          config.build_fallback = fallback;
+          SCOPED_TRACE(ConfigName(config) + " trial " + std::to_string(trial));
+          // Every (topic, subscriber) destination with its reference
+          // tables; deadlines run from hopeless to generous, so budgets
+          // bind.
+          struct Destination {
+            int topic;
+            NodeId subscriber;
+            double deadline_us;
+            DestinationTables expected;
+          };
+          std::vector<Destination> destinations;
+          for (NodeId subscriber : subscribers) {
+            for (int t = 0; t < 3; ++t) {
+              const double shortest = std::max(
+                  publisher_dist[t][subscriber.underlying()], 1000.0);
+              const double deadline =
+                  shortest * rng.NextDoubleInRange(0.5, 3.0);
+              destinations.push_back(Destination{
+                  t, subscriber, deadline,
+                  reference::Compute(graph, view, subscriber, deadline,
+                                     publisher_dist[t], config)});
+            }
+          }
+          // One kernel fed subscriber by subscriber (consecutive topics
+          // reuse the subscriber's solved state), then topic by topic (the
+          // subscriber changes on every call). One recycled slot for every
+          // destination: each Compute must overwrite what the previous one
+          // left behind.
+          DrKernel kernel(graph, view, config);
+          DestinationTables slot;
+          const auto check = [&](const Destination& d) {
+            kernel.Compute(d.subscriber, d.deadline_us,
+                           publisher_dist[d.topic], slot);
+            ++compared;
+            return SameTables(d.expected, slot)
+                   << " topic " << d.topic << " subscriber " << d.subscriber;
+          };
+          for (const Destination& d : destinations) {
+            ASSERT_TRUE(check(d)) << " (grouped by subscriber)";
+          }
+          for (int t = 0; t < 3; ++t) {
+            for (const Destination& d : destinations) {
+              if (d.topic == t) {
+                ASSERT_TRUE(check(d)) << " (by topic)";
+              }
+            }
+          }
+          for (const Destination& d : destinations) {
+            ASSERT_TRUE(SameTables(
+                d.expected, ComputeDestinationTables(
+                                graph, view, d.subscriber, d.deadline_us,
+                                publisher_dist[d.topic], config)))
+                << "one-shot, topic " << d.topic << " subscriber "
+                << d.subscriber;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 2000);
+}
+
+// Whether the policy's comparator is a strict weak ordering on the usable
+// entries of `entries`: irreflexive, transitive, with transitive
+// incomparability. std::stable_sort's result is only defined when it is.
+bool IsStrictWeakOrdering(const std::vector<ViaEntry>& entries,
+                          OrderingPolicy policy) {
+  std::vector<ViaEntry> usable;
+  std::copy_if(entries.begin(), entries.end(), std::back_inserter(usable),
+               reference::Usable);
+  const auto less = [policy](const ViaEntry& a, const ViaEntry& b) {
+    return reference::Less(policy, a, b);
+  };
+  const auto equivalent = [&](const ViaEntry& a, const ViaEntry& b) {
+    return !less(a, b) && !less(b, a);
+  };
+  for (const ViaEntry& a : usable) {
+    if (less(a, a)) return false;
+    for (const ViaEntry& b : usable) {
+      for (const ViaEntry& c : usable) {
+        if (less(a, b) && less(b, c) && !less(a, c)) return false;
+        if (equivalent(a, b) && equivalent(b, c) && !equivalent(a, c)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+// SortByPolicy's in-place sort against std::stable_partition +
+// std::stable_sort, on sending-list-shaped inputs (distinct neighbours)
+// mixing exact ties, unusable entries (r = 0, d = infinity) and d/r ratios
+// a few ulps apart.
+//
+// Cross-multiplied ratios a few ulps apart can make the Theorem-1
+// comparator intransitive (x < y and y < z by neighbour id because their
+// rounded products tie, yet z < x because those products do not). No sort
+// result is defined for such a list, so there the test checks what the
+// in-place sort does guarantee: usable entries first in a permutation of
+// the input, unusable ones in input order, and no adjacent pair inverted.
+TEST(SortByPolicyPropertyTest, MatchesStablePartitionAndStableSort) {
+  constexpr OrderingPolicy kPolicies[] = {OrderingPolicy::kTheorem1,
+                                          OrderingPolicy::kDelayFirst,
+                                          OrderingPolicy::kReliabilityFirst};
+  Rng rng(77);
+  int near_tie_lists = 0;
+  int intransitive_lists = 0;
+  std::vector<std::uint32_t> ids(64);
+  for (int trial = 0; trial < 20'000; ++trial) {
+    std::iota(ids.begin(), ids.end(), 0U);
+    const std::size_t length = rng.NextBounded(21);
+    std::vector<ViaEntry> entries;
+    bool near_tie = false;
+    for (std::size_t k = 0; k < length; ++k) {
+      // Distinct neighbours, drawn without replacement.
+      std::swap(ids[k], ids[k + rng.NextBounded(ids.size() - k)]);
+      ViaEntry entry{NodeId(ids[k]),
+                     LinkId(static_cast<LinkId::underlying_type>(k)),
+                     rng.NextDoubleInRange(1'000, 90'000),
+                     rng.NextDoubleInRange(0.01, 1.0)};
+      const double u = rng.NextDouble();
+      if (u < 0.15 && !entries.empty()) {
+        // Exact tie with an earlier entry.
+        const ViaEntry& other = entries[rng.NextBounded(entries.size())];
+        entry.d_via_us = other.d_via_us;
+        entry.r_via = other.r_via;
+      } else if (u < 0.35 && !entries.empty()) {
+        // An earlier entry's d/r ratio up to rounding: scale both, then
+        // nudge d by up to two ulps.
+        const ViaEntry& other = entries[rng.NextBounded(entries.size())];
+        const double scale = rng.NextDoubleInRange(0.5, 1.0);
+        entry.d_via_us = other.d_via_us * scale;
+        entry.r_via = other.r_via * scale;
+        for (std::uint64_t ulps = rng.NextBounded(3); ulps > 0; --ulps) {
+          entry.d_via_us = std::nextafter(entry.d_via_us, kInfiniteDelay);
+        }
+        near_tie = reference::Usable(other);
+      } else if (u < 0.45) {
+        entry.r_via = 0.0;
+      } else if (u < 0.5) {
+        entry.d_via_us = kInfiniteDelay;
+      } else if (u < 0.55) {
+        entry.d_via_us = kInfiniteDelay;
+        entry.r_via = 0.0;
+      }
+      entries.push_back(entry);
+    }
+    for (const OrderingPolicy policy : kPolicies) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " policy " +
+                   std::to_string(static_cast<int>(policy)));
+      std::vector<ViaEntry> actual = entries;
+      SortByPolicy(actual, policy);
+      if (IsStrictWeakOrdering(entries, policy)) {
+        if (near_tie) ++near_tie_lists;
+        std::vector<ViaEntry> expected = entries;
+        reference::SortByPolicy(expected, policy);
+        ASSERT_TRUE(SameList(expected, actual));
+        continue;
+      }
+      ++intransitive_lists;
+      ASSERT_EQ(policy, OrderingPolicy::kTheorem1);
+      std::vector<ViaEntry> partitioned = entries;
+      const auto usable_end = std::stable_partition(
+          partitioned.begin(), partitioned.end(), reference::Usable);
+      const auto usable_count =
+          static_cast<std::size_t>(usable_end - partitioned.begin());
+      ASSERT_TRUE(std::is_permutation(
+          actual.begin(), actual.begin() + usable_count, partitioned.begin(),
+          usable_end, [](const ViaEntry& a, const ViaEntry& b) {
+            return a.link == b.link;
+          }));
+      ASSERT_TRUE(SameList(
+          std::vector<ViaEntry>(usable_end, partitioned.end()),
+          std::vector<ViaEntry>(actual.begin() + usable_count, actual.end())));
+      for (std::size_t k = 0; k + 1 < usable_count; ++k) {
+        ASSERT_FALSE(reference::Less(policy, actual[k + 1], actual[k]))
+            << "entries " << k << " and " << k + 1 << " inverted";
+      }
+    }
+  }
+  // The generator must keep exercising both regimes.
+  EXPECT_GT(near_tie_lists, 1000);
+  EXPECT_GT(intransitive_lists, 0);
 }
 
 }  // namespace

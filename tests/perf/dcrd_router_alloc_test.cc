@@ -2,14 +2,18 @@
 // per-broker processed sets, the episode slab and each recycled episode's
 // buffers have reached the run's high-water mark, a forwarding epoch —
 // publish, per-hop dedup, episode open/close, next-hop grouping, ACK
-// timeouts, tried hops and upstream reroutes — allocates nothing but the
-// per-send Packet copy the router hands to HopTransport::SendReliable: that
-// copy's destination buffer and routing-path buffer. Everything is seeded,
-// so the test is deterministic.
+// timeouts, tried hops and upstream reroutes — allocates next to nothing:
+// every send copy is narrowed into the router's scratch packet and copied
+// into a recycled transport slot. A monitoring-epoch rebuild allocates per
+// topic and per distinct subscriber, never per (table, node). Everything is
+// seeded, so the tests are deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "common/rng.h"
 #include "dcrd/dcrd_router.h"
 #include "graph/topology.h"
 #include "routing/test_harness.h"
@@ -21,11 +25,9 @@ namespace {
 using test::AllocProbe;
 using testing::RouterHarness;
 
-// The two buffers of each send copy: destinations and routing path.
-constexpr std::uint64_t kAllocationsPerSend = 2;
-// Recycled buffers (episode slots, wire slots) still grow now and then past
-// warm-up: slots are reused LIFO, so a slot can meet its longest routing
-// path late. Allowed on at most one send in this many.
+// Recycled buffers (episode slots, pending and wire slots) still grow now
+// and then past warm-up: slots are reused LIFO, so a slot can meet its
+// longest routing path late. Allowed on at most one send in this many.
 constexpr std::uint64_t kSendsPerGrowth = 16;
 
 // Counts deliveries without storing them (RecordingSink's vector would
@@ -95,12 +97,56 @@ TEST(DcrdRouterAllocTest, ForwardingEpochAllocatesOnlySendCopies) {
   ASSERT_GT(measured.sends, 200U);
   EXPECT_GT(router.dropped_undeliverable(), 0U)
       << "the loss rate no longer exhausts any sending list";
-  EXPECT_LE(delta.allocations,
-            kAllocationsPerSend * measured.sends +
-                measured.sends / kSendsPerGrowth)
+  EXPECT_LE(delta.allocations, measured.sends / kSendsPerGrowth)
       << delta.allocations << " allocations (" << delta.bytes
       << " bytes) for " << measured.sends << " sends";
   EXPECT_EQ(router.open_episodes(), 0U);
+}
+
+// Allocations one monitoring-epoch rebuild may make once the previous epoch
+// has sized the tables: one shortest-delay tree per topic (the publisher's
+// distances) and per distinct subscriber (its sweep order), each tree with
+// its few result vectors and its heap's growth steps, the sort of each
+// subscriber's sweep order, plus the kernel's scratch and the rebuild's
+// work list. Nothing may scale with tables x nodes: every (topic,
+// subscriber) table is rewritten in place.
+constexpr std::uint64_t kAllocationsPerTree = 24;
+constexpr std::uint64_t kAllocationsFixed = 16;
+
+TEST(DcrdRouterAllocTest, RebuildAllocatesPerTopicAndSubscriberOnly) {
+  Rng rng(7);
+  RouterHarness h(RandomConnected(60, 6, rng), 0.0, 0.0, /*seed=*/3);
+  // Four topics from different publishers over overlapping subscriber
+  // sets: most subscribers hold tables in several topics.
+  constexpr std::uint32_t kTopics = 4;
+  std::vector<bool> subscribed(h.graph.node_count(), false);
+  std::uint64_t tables = 0;
+  for (std::uint32_t t = 0; t < kTopics; ++t) {
+    const TopicId topic = h.subscriptions.AddTopic(NodeId(t * 15));
+    for (std::uint32_t v = 0; v < h.graph.node_count(); ++v) {
+      if ((v + t) % 3 == 0) continue;
+      h.subscriptions.AddSubscription(topic, NodeId(v),
+                                      SimDuration::Millis(100 + 50 * t));
+      subscribed[v] = true;
+      ++tables;
+    }
+  }
+  const auto distinct = static_cast<std::uint64_t>(
+      std::count(subscribed.begin(), subscribed.end(), true));
+  DcrdRouter router(h.Context(/*m=*/2));
+  router.Rebuild(h.monitor.view());  // warm-up: sizes every table slot
+
+  AllocProbe probe;
+  router.Rebuild(h.monitor.view());
+  const auto delta = probe.delta();
+  const std::uint64_t bound =
+      kAllocationsPerTree * (kTopics + distinct) + kAllocationsFixed;
+  EXPECT_LE(delta.allocations, bound)
+      << delta.allocations << " allocations (" << delta.bytes
+      << " bytes) for " << tables << " tables over "
+      << h.graph.node_count() << " nodes";
+  // The bound must stay far below the per-(table, node) scale it guards.
+  ASSERT_LT(bound, tables * h.graph.node_count() / 4);
 }
 
 }  // namespace
