@@ -8,10 +8,12 @@
 # Environment overrides:
 #   DCRD_DET_BINARY   single figure binary (overrides the default set)
 #   DCRD_DET_BINARIES space-separated list (default "fig5_network_size
-#                     fig2_full_mesh ext2_persistence ext5_churn
-#                     ext7_gray_failures ext8_broker_churn"; ext2 drives
-#                     DCRD's persistency mode and its flow-label dedup keys,
-#                     ext5 the lookups of subscribers that churned away)
+#                     fig2_full_mesh ext2_persistence ext3_congestion
+#                     ext5_churn ext7_gray_failures ext8_broker_churn";
+#                     ext2 drives DCRD's persistency mode and its
+#                     flow-label dedup keys, ext3 the FIFO link queues,
+#                     where a copy departs later than it is sent, ext5 the
+#                     lookups of subscribers that churned away)
 #   DCRD_DET_REPS     repetitions          (default 2)
 #   DCRD_DET_SECONDS  simulated seconds    (default 120)
 #   DCRD_DET_JOBS     parallel job count   (default 8)
@@ -21,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build_dir="${1:-build}"
-binaries="${DCRD_DET_BINARIES:-fig5_network_size fig2_full_mesh ext2_persistence ext5_churn ext7_gray_failures ext8_broker_churn}"
+binaries="${DCRD_DET_BINARIES:-fig5_network_size fig2_full_mesh ext2_persistence ext3_congestion ext5_churn ext7_gray_failures ext8_broker_churn}"
 if [[ -n "${DCRD_DET_BINARY:-}" ]]; then
   binaries="$DCRD_DET_BINARY"
 fi
@@ -181,6 +183,7 @@ if [[ " $binaries " == *" $prof_binary "* ]]; then
     echo "determinism_check: sharded traced run produced no per-shard trace files" >&2
     fail=1
   fi
+  rm -f "$workdir"/ptrace.*  # about 4.5 GB; only their existence is checked
 else
   echo "determinism_check: $prof_binary not in binary set; skipping shard-profile phase" >&2
 fi
@@ -269,6 +272,10 @@ for binary_name in $binaries; do
     echo "determinism_check: $binary_name --delay_audit produced no model rows" >&2
     fail=1
   fi
+  # Audit traces run to gigabytes per binary (fig5's pair is about 3.4 GB
+  # at --reps 2 --seconds 120); kept until exit, the default set needs
+  # more than 14 GB of scratch disk.
+  rm -f "$workdir/aud_j1.$binary_name".* "$workdir/aud_jN.$binary_name".*
 done
 
 if [[ "$fail" != 0 ]]; then

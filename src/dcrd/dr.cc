@@ -41,11 +41,12 @@ void SortUsable(std::vector<ViaEntry>& entries, Less less) {
 
 void SortByTheorem1(std::vector<ViaEntry>& entries) {
   SortUsable(entries, [](const ViaEntry& a, const ViaEntry& b) {
-    // d_a/r_a < d_b/r_b via cross-multiplication (no division). Products
-    // that round equal fall to the id tie-break, so ratios an ulp apart
-    // can order intransitively (see DESIGN §8.2).
-    const double lhs = a.d_via_us * b.r_via;
-    const double rhs = b.d_via_us * a.r_via;
+    // Compares each entry's own correctly rounded quotient d/r, so every
+    // entry has one key and the order is transitive even for ratios an ulp
+    // apart (cross-multiplied products are not: two products can round
+    // equal while a third pair does not).
+    const double lhs = a.d_via_us / a.r_via;
+    const double rhs = b.d_via_us / b.r_via;
     if (lhs != rhs) return lhs < rhs;
     return a.neighbor < b.neighbor;
   });
@@ -85,10 +86,6 @@ DR CombineOrdered(const std::vector<ViaEntry>& entries) {
   const double r = 1.0 - all_fail;
   if (r <= 0.0) return DR{};
   return DR{numerator / r, r};
-}
-
-double ExpectedDelayOfOrder(const std::vector<ViaEntry>& entries) {
-  return CombineOrdered(entries).d_us;
 }
 
 }  // namespace dcrd

@@ -61,11 +61,8 @@ void SortByPolicy(std::vector<ViaEntry>& entries, OrderingPolicy policy);
 
 // Eq. 3 over an ordered list: the node tries entry 1 first, then entry 2,
 // and so on; the numerator accumulates (sum of d up to i) * P(first success
-// at i), the denominator is the overall success probability.
+// at i), the denominator is the overall success probability. The fold
+// holds for any order; Theorem 1 says which order minimises its d.
 DR CombineOrdered(const std::vector<ViaEntry>& entries);
-
-// Expected delay of the *given* order — CombineOrdered's d without the
-// Theorem-1 precondition. Used by tests to compare orderings.
-double ExpectedDelayOfOrder(const std::vector<ViaEntry>& entries);
 
 }  // namespace dcrd

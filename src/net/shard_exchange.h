@@ -65,6 +65,8 @@ struct XMsg {
   LinkId link;
   std::uint64_t copy_id = 0;  // kData
   int tx_index = 0;           // kData
+  bool final_arrival = false;  // kData: no later arrival of this copy
+                               // (see HopTransport)
   SlotHandle echo_slot;       // kEcho*: completion slot in the ORIGIN
                               // shard's network (opaque to the receiver)
   Packet packet;              // kData payload; capacity reused across runs

@@ -14,7 +14,9 @@ namespace dcrd {
 // shards.
 struct BrokerHealth {
   std::uint64_t pending_copies = 0;  // in-flight copies this broker is sending
-  std::uint64_t dedup_entries = 0;   // receiver-side dedup table size
+  // Distinct copies the broker's duplicate suppression recorded in the
+  // current and the previous monitoring epoch (HopTransport).
+  std::uint64_t dedup_entries = 0;
   // Largest live adaptive RTO (us) over the broker's outgoing links; 0
   // until the estimator has a real sample (and always 0 in fixed-timer
   // mode), so unfed estimators contribute nothing to the shard merge.

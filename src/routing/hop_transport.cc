@@ -29,6 +29,8 @@ void HopTransport::SendReliable(NodeId from, LinkId link,
   pending.timer = EventHandle{};
   pending.copy_id = MakeCopyId(from);
   pending.transmissions_made = 0;
+  pending.latest_arrival = kNoArrival;
+  pending.ack_delivered = false;
   if (config_.recorder != nullptr) {
     config_.recorder->Record(TraceEventKind::kEnqueue,
                              pending.packet.message().id.value,
@@ -71,10 +73,37 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
                              packet_id, copy_id, from, to, link, 0,
                              static_cast<std::uint16_t>(tx_index));
   }
+  // The timer is needed before the send resolves: whether this
+  // transmission can be followed by another depends on it. TimeoutFor is
+  // const, so computing it first changes nothing.
+  const SimDuration timeout =
+      config_.adaptive_rto
+          ? rto_.TimeoutFor(DirectedIndex(from, link), pending->ack_timeout,
+                            tx_index, copy_id)
+          : pending->ack_timeout;
   const TraceContext trace{packet_id, copy_id};
   const Resolution res =
       network_.ResolveSend(from, link, TrafficClass::kData, trace);
   if (res.delivered) {
+    // The receiver will ACK the copy the instant it lands; that ACK's fate
+    // is already decidable here (pure schedules + the copy's content key),
+    // so resolve it now and schedule HandleAckArrival locally — the whole
+    // round trip without anything crossing back over the exchange.
+    const std::uint64_t ack_key =
+        (copy_id << 4) | static_cast<std::uint64_t>(tx_index);
+    const Resolution ack =
+        network_.ResolveAckAt(to, link, res.at, ack_key, trace);
+    // Final arrival: no later transmission can be sent (budget spent, or
+    // the ACK lands strictly before the timer, which then never fires) and
+    // every earlier delivered transmission lands strictly before this one.
+    // Ties are never final — their dispatch order is the scheduler's.
+    const bool last_transmission =
+        pending->transmissions_left == 0 ||
+        (ack.delivered && ack.at < network_.scheduler().now() + timeout);
+    const bool final_arrival =
+        last_transmission && pending->latest_arrival < res.at;
+    pending->latest_arrival = std::max(pending->latest_arrival, res.at);
+    if (ack.delivered) pending->ack_delivered = true;
     if (network_.IsLocalNode(to)) {
       // The copy sent on the wire is snapshotted into the wire slab; the
       // slab owns it so a later SendReliable cannot mutate a packet already
@@ -84,6 +113,7 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
       wire.packet = pending->packet;  // copy-assign: reuses buffer capacity
       wire.copy_id = copy_id;
       wire.tx_index = tx_index;
+      wire.final_arrival = final_arrival;
       wire.to = to;
       wire.from = from;
       wire.link = link;
@@ -92,7 +122,8 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
           [this, wire_slot] { HandleDataArrival(wire_slot); });
     } else {
       // Receiver owned by another shard: the snapshot travels as an
-      // exchange message instead of a wire slot.
+      // exchange message instead of a wire slot. Every field is written —
+      // exchange slots are recycled.
       XMsg& msg = network_.ExportTo(to);
       msg.kind = XMsgKind::kData;
       msg.at = res.at.micros();
@@ -103,16 +134,9 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
       msg.link = link;
       msg.copy_id = copy_id;
       msg.tx_index = tx_index;
+      msg.final_arrival = final_arrival;
       msg.packet = pending->packet;  // copy-assign into pooled storage
     }
-    // The receiver will ACK the copy the instant it lands; that ACK's fate
-    // is already decidable here (pure schedules + the copy's content key),
-    // so resolve it now and schedule HandleAckArrival locally — the whole
-    // round trip without anything crossing back over the exchange.
-    const std::uint64_t ack_key =
-        (copy_id << 4) | static_cast<std::uint64_t>(tx_index);
-    const Resolution ack =
-        network_.ResolveAckAt(to, link, res.at, ack_key, trace);
     if (ack.delivered) {
       network_.scheduler().ScheduleKeyed(
           ack.at, ack.k1, ack.k2, [this, pending_slot, copy_id, tx_index] {
@@ -120,11 +144,6 @@ void HopTransport::TransmitOnce(SlotHandle pending_slot, bool in_timer_event) {
           });
     }
   }
-  const SimDuration timeout =
-      config_.adaptive_rto
-          ? rto_.TimeoutFor(DirectedIndex(from, link), pending->ack_timeout,
-                            tx_index, copy_id)
-          : pending->ack_timeout;
   if (config_.recorder != nullptr) {
     // kTimerArmed repurposes `peer` to carry the armed timeout in
     // microseconds (the real peer is derivable from node+link). Clamp below
@@ -160,12 +179,16 @@ void HopTransport::HandleTimeout(SlotHandle pending_slot) {
   // Budget exhausted. A badly late ACK may still straggle home — leave a
   // tombstone so it can feed the RTO estimator and have the copy's
   // retransmissions classified as spurious instead of silently dropping
-  // the accounting on the floor.
-  Expired& expired = *expired_.TryEmplace(pending->copy_id).first;
-  expired.from = pending->from;
-  expired.link = pending->link;
-  expired.transmissions_made = pending->transmissions_made;
-  expired.tx_times = pending->tx_times;
+  // the accounting on the floor. Only a copy with an ACK resolved as
+  // delivered has one coming: an ACK that had already landed would have
+  // released this slot, so such an ACK is still in flight.
+  if (pending->ack_delivered) {
+    Expired& expired = *expired_.TryEmplace(pending->copy_id).first;
+    expired.from = pending->from;
+    expired.link = pending->link;
+    expired.transmissions_made = pending->transmissions_made;
+    expired.tx_times = pending->tx_times;
+  }
   if (config_.recorder != nullptr) {
     config_.recorder->Record(
         TraceEventKind::kBudgetExhausted, pending->packet.message().id.value,
@@ -194,6 +217,7 @@ void HopTransport::HandleDataArrival(SlotHandle wire_slot) {
   WireCopy* wire = wire_.Get(wire_slot);
   DCRD_CHECK(wire != nullptr);
   const std::uint64_t copy_id = wire->copy_id;
+  const bool final_arrival = wire->final_arrival;
   const NodeId at = wire->to;
   const NodeId from = wire->from;
   const LinkId link = wire->link;
@@ -210,13 +234,19 @@ void HopTransport::HandleDataArrival(SlotHandle wire_slot) {
   // sender at transmission time (see TransmitOnce): its outcome depends
   // only on schedules and the copy's content key, never on receiver state,
   // so nothing needs to be emitted here.
-  // Hand to the protocol only on first sight of this copy. Insert into the
-  // current generation even when the previous one already knows the copy,
-  // so repeat stragglers keep their suppression entry alive across
-  // rotations.
-  const bool in_prev = prev_seen_copies_[at.underlying()].Contains(copy_id);
-  const bool handed_up =
-      seen_copies_[at.underlying()].Insert(copy_id) && !in_prev;
+  // Hand to the protocol only on first sight of this copy. A final arrival
+  // then forgets the copy id (no later arrival of it exists); any other
+  // arrival records it in the current generation even when the previous
+  // one already knows it, so repeat stragglers keep their suppression
+  // entry alive across rotations.
+  ReceiverDedup& dedup = dedup_[at.underlying()];
+  const bool in_prev = final_arrival ? dedup.previous.Erase(copy_id)
+                                     : dedup.previous.Contains(copy_id);
+  const bool fresh = final_arrival ? !dedup.current.Erase(copy_id)
+                                   : dedup.current.Insert(copy_id);
+  if (!final_arrival) ++stats_.tracked_arrivals;
+  if (fresh) ++dedup.current_copies;
+  const bool handed_up = fresh && !in_prev;
   if (config_.observer != nullptr) {
     config_.observer->OnCopyArrival(copy_id, at, from, packet, handed_up);
   }
@@ -303,6 +333,7 @@ void HopTransport::AcceptRemoteData(XMsg& msg) {
   wire.packet = msg.packet;
   wire.copy_id = msg.copy_id;
   wire.tx_index = msg.tx_index;
+  wire.final_arrival = msg.final_arrival;
   wire.to = msg.to;
   wire.from = msg.from;
   wire.link = msg.link;
@@ -339,8 +370,11 @@ std::size_t HopTransport::OnBrokerCrash(NodeId node) {
   // for by the crash-aware invariant checker. (Its ACK tombstones become
   // unreachable — copy ids are never reused — and age out with the next
   // epoch rotation.)
-  seen_copies_[node.underlying()].clear();
-  prev_seen_copies_[node.underlying()].clear();
+  ReceiverDedup& dedup = dedup_[node.underlying()];
+  dedup.current.clear();
+  dedup.previous.clear();
+  dedup.current_copies = 0;
+  dedup.previous_copies = 0;
   // 3. Its own peer-liveness beliefs and probe loops are volatile too.
   if (!peer_.empty()) {
     for (const Neighbor& neighbor : network_.graph().neighbors(node)) {
@@ -482,16 +516,24 @@ void HopTransport::SendProbe(NodeId from, LinkId link, std::uint32_t round) {
   ScheduleProbe(from, link, /*rearm=*/true);
 }
 
+std::size_t HopTransport::dedup_table_entries() const {
+  std::size_t entries = expired_.size();
+  for (const ReceiverDedup& dedup : dedup_) {
+    entries += dedup.current.size() + dedup.previous.size();
+  }
+  return entries;
+}
+
 void HopTransport::SampleBrokerHealth(std::vector<BrokerHealth>& out) const {
   pending_.ForEachLiveHandle([&](SlotHandle handle) {
     const Pending* pending = pending_.Get(handle);
     const std::size_t broker = pending->from.underlying();
     if (broker < out.size()) ++out[broker].pending_copies;
   });
-  const std::size_t nodes = std::min(out.size(), seen_copies_.size());
+  const std::size_t nodes = std::min(out.size(), dedup_.size());
   for (std::size_t node = 0; node < nodes; ++node) {
     out[node].dedup_entries +=
-        seen_copies_[node].size() + prev_seen_copies_[node].size();
+        dedup_[node].current_copies + dedup_[node].previous_copies;
   }
   if (config_.adaptive_rto) {
     const Graph& graph = network_.graph();

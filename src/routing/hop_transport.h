@@ -21,6 +21,16 @@
 //    the HandleAckArrival instant locally and ACKs never cross a shard
 //    boundary. Data arrivals destined to a remote shard travel as kData
 //    exchange messages and re-enter through AcceptRemoteData.
+//  * The same send-time resolution decides whether a delivered
+//    transmission is the copy's *final arrival*: no further transmission
+//    can be sent (this is the m-th, or its ACK is delivered strictly before
+//    the retransmission timer fires) and every earlier delivered
+//    transmission lands strictly before it. A tie is never final. A final
+//    arrival cannot be followed by another arrival of the same copy, so it
+//    decides hand-up exactly as any arrival does and then forgets the copy
+//    id; only non-final arrivals leave an entry behind. Duplicate
+//    suppression therefore holds state for the copies still in flight, not
+//    for every copy of the last two epochs (with m = 1 it holds none).
 //  * `done(acked)` fires exactly once: true as soon as the ACK returns,
 //    false after the m-th transmission's timeout expires. A data copy can
 //    have been delivered even when done(false) fires (ACK lost) — protocols
@@ -43,9 +53,13 @@
 // callbacks, in-flight wire payloads live in a second slab so callback
 // captures stay within the inline budget, and the receiver-side dedup
 // generations plus ACK tombstones are open-addressing tables
-// (dense_map.h). A send/ACK round trip therefore performs zero heap
-// allocations once the slabs have reached the run's in-flight high-water
-// mark — a property enforced by the allocation-counter regression tests.
+// (dense_map.h). Both tables are sized by the traffic in flight: a dedup
+// entry lives from a copy's first non-final arrival to its final one, and
+// a tombstone is left only when a budget expires while one of the copy's
+// ACKs is still on its way. A send/ACK round trip therefore performs zero
+// heap allocations once the slabs and tables have reached the run's
+// in-flight high-water mark — a property enforced by the
+// allocation-counter regression tests.
 #pragma once
 
 #include <array>
@@ -104,6 +118,9 @@ struct TransportStats {
   std::uint64_t retransmissions = 0;
   std::uint64_t spurious_retransmissions = 0;
   std::uint64_t rtt_samples = 0;
+  // Arrivals that were not their copy's final arrival, i.e. that recorded
+  // the copy id for duplicate suppression (see HopTransport).
+  std::uint64_t tracked_arrivals = 0;
   std::size_t pending_copies = 0;
   // Crash–recovery bookkeeping (all 0 unless the knobs are on).
   std::uint64_t peer_deaths = 0;     // directed links declared dead
@@ -134,8 +151,7 @@ class HopTransport {
         on_arrival_(std::move(on_arrival)),
         config_(config),
         rto_(config.rto),
-        seen_copies_(network.graph().node_count()),
-        prev_seen_copies_(network.graph().node_count()),
+        dedup_(network.graph().node_count()),
         next_copy_seq_(network.graph().node_count(), 0) {
     if (config_.peer_death) {
       peer_.resize(network.graph().edge_count() * 2);
@@ -160,15 +176,21 @@ class HopTransport {
   // multi-hour runs. Rotation (not a hard clear): a spurious retransmission
   // of an already-handed-up copy can still be in flight when the monitoring
   // epoch turns over, so the previous generation stays consulted for one
-  // more epoch. A copy id is only forgotten after two consecutive epochs
-  // without an arrival — far longer than any transmission stays airborne.
+  // more epoch. Most copy ids never get here — a copy's final arrival
+  // erases its entry (see the semantics above) — so the rotation only ages
+  // out copies that never had a final arrival (the transmission that would
+  // have been final was lost, or none qualified), after two consecutive
+  // epochs without an arrival: far longer than any transmission stays
+  // airborne.
   void ClearDedupState() {
     // Swap instead of move: both tables keep their steady-state capacity,
     // so the rotation itself allocates nothing. Dedup state is kept per
     // receiving broker so a crash can void exactly one broker's memory.
-    for (std::size_t node = 0; node < seen_copies_.size(); ++node) {
-      swap(prev_seen_copies_[node], seen_copies_[node]);
-      seen_copies_[node].clear();
+    for (ReceiverDedup& dedup : dedup_) {
+      swap(dedup.previous, dedup.current);
+      dedup.current.clear();
+      dedup.previous_copies = dedup.current_copies;
+      dedup.current_copies = 0;
     }
     // Ack-tombstones follow the same bound: an ACK more than an epoch late
     // is not worth accounting for.
@@ -202,14 +224,24 @@ class HopTransport {
   }
   [[nodiscard]] const RtoEstimator& rto() const { return rto_; }
 
+  // Entries currently held by duplicate suppression (both generations, all
+  // receivers) plus ACK tombstones: the transport's per-copy memory that
+  // outlives a copy's pending slot. Read-only; for tests and diagnostics.
+  [[nodiscard]] std::size_t dedup_table_entries() const;
+
   // Accumulates per-broker health into `out` (indexed by broker id, caller-
-  // zeroed): live in-flight copies by sending broker, dedup table sizes
-  // (current + previous generation) by receiving broker, and — in adaptive
-  // mode — each broker's largest sampled outgoing-link RTO. Read-only and
-  // allocation-free; the time-series sampler calls it every sim-time tick.
+  // zeroed): live in-flight copies by sending broker, distinct copies
+  // recorded by duplicate suppression (current + previous generation) by
+  // receiving broker, and — in adaptive mode — each broker's largest
+  // sampled outgoing-link RTO. Read-only and allocation-free; the
+  // time-series sampler calls it every sim-time tick.
   void SampleBrokerHealth(std::vector<BrokerHealth>& out) const;
 
  private:
+  // Pending::latest_arrival before any transmission was delivered: earlier
+  // than every arrival instant.
+  static constexpr SimTime kNoArrival = SimTime::FromMicros(-1);
+
   struct Pending {
     NodeId from;
     LinkId link;
@@ -220,14 +252,21 @@ class HopTransport {
     EventHandle timer;
     std::uint64_t copy_id = 0;
     int transmissions_made = 0;
+    // Latest arrival instant over the copy's delivered transmissions so
+    // far, for the final-arrival rule.
+    SimTime latest_arrival = kNoArrival;
+    // Some transmission's ACK was resolved as delivered: at budget
+    // expiry it is still in flight and needs a tombstone.
+    bool ack_delivered = false;
     // Send instant per transmission index; fixed-size so the slab entry
     // never regrows.
     std::array<SimTime, kMaxTransmissionBudget> tx_times{};
   };
 
-  // Accounting stub left behind when a copy's send budget expires before
-  // its ACK returns; lets the straggling ACK still be classified. `from`
-  // is kept because the RTO estimator is keyed per directed link.
+  // Accounting stub left behind when a copy's send budget expires while one
+  // of its ACKs is still in flight; lets the straggling ACK still be
+  // classified. `from` is kept because the RTO estimator is keyed per
+  // directed link.
   struct Expired {
     NodeId from;
     LinkId link;
@@ -242,9 +281,22 @@ class HopTransport {
     Packet packet;
     std::uint64_t copy_id = 0;
     int tx_index = 0;
+    // No other transmission of the copy can land after this one.
+    bool final_arrival = false;
     NodeId to;
     NodeId from;
     LinkId link;
+  };
+
+  // One receiving broker's duplicate suppression: two generations of copy
+  // ids, each with the number of distinct copies recorded in it. A final
+  // arrival erases its id, so the counts (not the table sizes) are what
+  // the time-series sampler reports as dedup_entries.
+  struct ReceiverDedup {
+    DenseIdSet current;
+    DenseIdSet previous;
+    std::uint64_t current_copies = 0;
+    std::uint64_t previous_copies = 0;
   };
 
   // Sender-side liveness belief about the far end of one directed link.
@@ -321,8 +373,7 @@ class HopTransport {
   // clears that broker's entries alone. Copy ids are globally unique and
   // target exactly one receiver, so partitioning by receiver is
   // behaviour-preserving when no one ever crashes.
-  std::vector<DenseIdSet> seen_copies_;
-  std::vector<DenseIdSet> prev_seen_copies_;
+  std::vector<ReceiverDedup> dedup_;
   // Directed-link peer liveness (sized only when peer_death is on).
   std::vector<PeerState> peer_;
   // Scratch for fail-fast sweeps (collect-then-act over the slot map);

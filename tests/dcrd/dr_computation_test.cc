@@ -229,8 +229,8 @@ bool Usable(const ViaEntry& e) {
 bool Less(OrderingPolicy policy, const ViaEntry& a, const ViaEntry& b) {
   switch (policy) {
     case OrderingPolicy::kTheorem1: {
-      const double lhs = a.d_via_us * b.r_via;
-      const double rhs = b.d_via_us * a.r_via;
+      const double lhs = a.d_via_us / a.r_via;
+      const double rhs = b.d_via_us / b.r_via;
       if (lhs != rhs) return lhs < rhs;
       return a.neighbor < b.neighbor;
     }
@@ -581,21 +581,17 @@ bool IsStrictWeakOrdering(const std::vector<ViaEntry>& entries,
 // SortByPolicy's in-place sort against std::stable_partition +
 // std::stable_sort, on sending-list-shaped inputs (distinct neighbours)
 // mixing exact ties, unusable entries (r = 0, d = infinity) and d/r ratios
-// a few ulps apart.
-//
-// Cross-multiplied ratios a few ulps apart can make the Theorem-1
-// comparator intransitive (x < y and y < z by neighbour id because their
-// rounded products tie, yet z < x because those products do not). No sort
-// result is defined for such a list, so there the test checks what the
-// in-place sort does guarantee: usable entries first in a permutation of
-// the input, unusable ones in input order, and no adjacent pair inverted.
+// a few ulps apart. Every comparator must be a strict weak ordering on
+// every such list — including the near-ties, where a Theorem-1 comparator
+// on cross-multiplied products would order three entries cyclically — so
+// the sort result is always defined and must equal the standard
+// algorithms'.
 TEST(SortByPolicyPropertyTest, MatchesStablePartitionAndStableSort) {
   constexpr OrderingPolicy kPolicies[] = {OrderingPolicy::kTheorem1,
                                           OrderingPolicy::kDelayFirst,
                                           OrderingPolicy::kReliabilityFirst};
   Rng rng(77);
   int near_tie_lists = 0;
-  int intransitive_lists = 0;
   std::vector<std::uint32_t> ids(64);
   for (int trial = 0; trial < 20'000; ++trial) {
     std::iota(ids.begin(), ids.end(), 0U);
@@ -636,42 +632,20 @@ TEST(SortByPolicyPropertyTest, MatchesStablePartitionAndStableSort) {
       }
       entries.push_back(entry);
     }
+    if (near_tie) ++near_tie_lists;
     for (const OrderingPolicy policy : kPolicies) {
       SCOPED_TRACE("trial " + std::to_string(trial) + " policy " +
                    std::to_string(static_cast<int>(policy)));
+      ASSERT_TRUE(IsStrictWeakOrdering(entries, policy));
       std::vector<ViaEntry> actual = entries;
       SortByPolicy(actual, policy);
-      if (IsStrictWeakOrdering(entries, policy)) {
-        if (near_tie) ++near_tie_lists;
-        std::vector<ViaEntry> expected = entries;
-        reference::SortByPolicy(expected, policy);
-        ASSERT_TRUE(SameList(expected, actual));
-        continue;
-      }
-      ++intransitive_lists;
-      ASSERT_EQ(policy, OrderingPolicy::kTheorem1);
-      std::vector<ViaEntry> partitioned = entries;
-      const auto usable_end = std::stable_partition(
-          partitioned.begin(), partitioned.end(), reference::Usable);
-      const auto usable_count =
-          static_cast<std::size_t>(usable_end - partitioned.begin());
-      ASSERT_TRUE(std::is_permutation(
-          actual.begin(), actual.begin() + usable_count, partitioned.begin(),
-          usable_end, [](const ViaEntry& a, const ViaEntry& b) {
-            return a.link == b.link;
-          }));
-      ASSERT_TRUE(SameList(
-          std::vector<ViaEntry>(usable_end, partitioned.end()),
-          std::vector<ViaEntry>(actual.begin() + usable_count, actual.end())));
-      for (std::size_t k = 0; k + 1 < usable_count; ++k) {
-        ASSERT_FALSE(reference::Less(policy, actual[k + 1], actual[k]))
-            << "entries " << k << " and " << k + 1 << " inverted";
-      }
+      std::vector<ViaEntry> expected = entries;
+      reference::SortByPolicy(expected, policy);
+      ASSERT_TRUE(SameList(expected, actual));
     }
   }
-  // The generator must keep exercising both regimes.
+  // The generator must keep exercising the near-tie regime.
   EXPECT_GT(near_tie_lists, 1000);
-  EXPECT_GT(intransitive_lists, 0);
 }
 
 }  // namespace

@@ -135,11 +135,11 @@ TEST(SortByTheorem1Test, SortedOrderMinimizesAmongAdjacentSwaps) {
                               rng.NextDoubleInRange(0.05, 1.0)));
     }
     SortByTheorem1(entries);
-    const double best = ExpectedDelayOfOrder(entries);
+    const double best = CombineOrdered(entries).d_us;
     for (int k = 0; k + 1 < n; ++k) {
       auto swapped = entries;
       std::swap(swapped[k], swapped[k + 1]);
-      EXPECT_GE(ExpectedDelayOfOrder(swapped), best - 1e-6);
+      EXPECT_GE(CombineOrdered(swapped).d_us, best - 1e-6);
     }
   }
 }

@@ -78,9 +78,9 @@ TEST(OrderingPolicyTest, Theorem1NeverWorseInExpectedDelay) {
     SortByPolicy(theorem, OrderingPolicy::kTheorem1);
     SortByPolicy(delay, OrderingPolicy::kDelayFirst);
     SortByPolicy(reliability, OrderingPolicy::kReliabilityFirst);
-    const double best = ExpectedDelayOfOrder(theorem);
-    EXPECT_LE(best, ExpectedDelayOfOrder(delay) + 1e-6);
-    EXPECT_LE(best, ExpectedDelayOfOrder(reliability) + 1e-6);
+    const double best = CombineOrdered(theorem).d_us;
+    EXPECT_LE(best, CombineOrdered(delay).d_us + 1e-6);
+    EXPECT_LE(best, CombineOrdered(reliability).d_us + 1e-6);
   }
 }
 

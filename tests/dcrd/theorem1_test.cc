@@ -35,7 +35,7 @@ double BruteForceMinimum(std::vector<ViaEntry> entries) {
             });
   double best = kInfiniteDelay;
   do {
-    best = std::min(best, ExpectedDelayOfOrder(entries));
+    best = std::min(best, CombineOrdered(entries).d_us);
   } while (std::next_permutation(
       entries.begin(), entries.end(),
       [](const ViaEntry& a, const ViaEntry& b) {
@@ -52,7 +52,7 @@ TEST_P(Theorem1Test, SortedOrderIsGloballyOptimal) {
     std::vector<ViaEntry> entries = RandomInstance(rng, n);
     const double brute = BruteForceMinimum(entries);
     SortByTheorem1(entries);
-    const double theorem = ExpectedDelayOfOrder(entries);
+    const double theorem = CombineOrdered(entries).d_us;
     EXPECT_NEAR(theorem, brute, std::abs(brute) * 1e-12 + 1e-9)
         << "n=" << n << " trial=" << trial;
   }
@@ -85,14 +85,14 @@ TEST(Theorem1EdgeCases, DegenerateEqualRatios) {
   const double sorted_d = [&] {
     auto copy = entries;
     SortByTheorem1(copy);
-    return ExpectedDelayOfOrder(copy);
+    return CombineOrdered(copy).d_us;
   }();
   std::sort(entries.begin(), entries.end(),
             [](const ViaEntry& a, const ViaEntry& b) {
               return a.neighbor < b.neighbor;
             });
   do {
-    EXPECT_NEAR(ExpectedDelayOfOrder(entries), sorted_d, 1e-6);
+    EXPECT_NEAR(CombineOrdered(entries).d_us, sorted_d, 1e-6);
   } while (std::next_permutation(
       entries.begin(), entries.end(),
       [](const ViaEntry& a, const ViaEntry& b) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/topology.h"
+#include "net/shard_exchange.h"
 
 namespace dcrd {
 namespace {
@@ -331,6 +336,447 @@ TEST(HopTransportTest, ClearDedupStateKeepsPendingSendsAlive) {
   transport.ClearDedupState();
   f.scheduler.Run();
   EXPECT_TRUE(acked);
+}
+
+// --- Dedup lifetime: a copy id is remembered only while the copy can still
+// arrive again (the final-arrival rule in hop_transport.h). ---
+
+// Records every arrival the transport sees, duplicates included.
+class ArrivalLog : public TransportObserver {
+ public:
+  explicit ArrivalLog(const Scheduler& scheduler) : scheduler_(scheduler) {}
+  void OnCopyArrival(std::uint64_t copy_id, NodeId, NodeId, const Packet&,
+                     bool handed_up) override {
+    arrivals.push_back({copy_id, handed_up, scheduler_.now()});
+  }
+  struct Arrival {
+    std::uint64_t copy_id;
+    bool handed_up;
+    SimTime at;
+  };
+  std::vector<Arrival> arrivals;
+
+ private:
+  const Scheduler& scheduler_;
+};
+
+// Seed of a 0.5-loss network where, for node 0's first copy on link 0,
+// data transmissions 0 and 1 pass, transmission 0's ACK drops and
+// transmission 1's ACK passes (draw addresses as in
+// DuplicateDataSuppressedButReAcked).
+std::uint64_t SeedWithLostFirstAck() {
+  const std::uint64_t copy = std::uint64_t{1} << 40;
+  for (std::uint64_t seed = 0; seed < 100'000; ++seed) {
+    const std::uint64_t keyed = Rng(seed).Fork("keyed")();
+    if (!KeyedBernoulli(0.5, keyed, 0, 0, 0) &&
+        KeyedBernoulli(0.5, keyed, 5, (copy << 4) | 0, 0) &&
+        !KeyedBernoulli(0.5, keyed, 0, 1, 0) &&
+        !KeyedBernoulli(0.5, keyed, 5, (copy << 4) | 1, 0)) {
+      return seed;
+    }
+  }
+  ADD_FAILURE() << "no seed found";
+  return 0;
+}
+
+TEST(HopTransportDedupLifetimeTest, SingleTransmissionBudgetNeverWritesTables) {
+  // m = 1: every delivered transmission is its copy's last, so every
+  // arrival is final and nothing is ever recorded — on a lossy, flapping
+  // link, at every instant of the run.
+  Fixture f;
+  OverlayNetwork network = f.MakeNetwork(0.3, 0.2, /*seed=*/9);
+  HopTransport* transport_ptr = nullptr;
+  int deliveries = 0;
+  std::size_t max_entries = 0;
+  const auto probe = [&] {
+    max_entries = std::max(max_entries, transport_ptr->dedup_table_entries());
+  };
+  HopTransport transport(network, [&](NodeId, const Packet&, NodeId) {
+    ++deliveries;
+    probe();
+  });
+  transport_ptr = &transport;
+  int acked = 0;
+  int failed = 0;
+  for (int i = 0; i < 400; ++i) {
+    f.scheduler.ScheduleAt(SimTime::FromMicros(i * 7'000), [&] {
+      transport.SendReliable(NodeId(0), f.link,
+                             Packet(TestMessage(), {NodeId(1)}), 1,
+                             Fixture::Timeout(), [&](bool ok) {
+                               ok ? ++acked : ++failed;
+                               probe();
+                             });
+    });
+  }
+  f.scheduler.Run();
+  EXPECT_EQ(acked + failed, 400);
+  EXPECT_GT(deliveries, 100);
+  EXPECT_GT(failed, 0);  // losses and outages did happen
+  EXPECT_EQ(max_entries, 0U);
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+  EXPECT_EQ(transport.stats().tracked_arrivals, 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, RetransmissionAfterLostAckEmptiesTable) {
+  // Transmission 0 lands but its ACK drops, so a retransmission follows:
+  // the first arrival must be remembered, the retransmission (the m-th,
+  // landing after it) is suppressed and takes the entry with it.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.5,
+                         Rng(SeedWithLostFirstAck()));
+  HopTransport* transport_ptr = nullptr;
+  std::vector<std::size_t> entries_at_handup;
+  HopTransport transport(network, [&](NodeId, const Packet&, NodeId) {
+    entries_at_handup.push_back(transport_ptr->dedup_table_entries());
+  });
+  transport_ptr = &transport;
+  bool acked = false;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         2, Fixture::Timeout(), [&](bool ok) { acked = ok; });
+  f.scheduler.Run();
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(entries_at_handup, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(transport.stats().tracked_arrivals, 1U);
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, AckTiedWithTimerIsNotFinal) {
+  // ACK factor 0 and a timeout equal to the link delay: transmission 0's
+  // ACK lands at the very instant its timer fires, and the timer (keyed
+  // at the send instant) dispatches first, so a retransmission goes out.
+  // Transmission 0 therefore must not count as final — if it did, its id
+  // would be forgotten and the retransmission handed up a second time.
+  Fixture f;
+  OverlayNetwork network = f.MakeNetwork(0.0, 0.0);
+  ArrivalLog log(f.scheduler);
+  HopTransportConfig config;
+  config.observer = &log;
+  int deliveries = 0;
+  HopTransport transport(
+      network, [&](NodeId, const Packet&, NodeId) { ++deliveries; }, config);
+  bool acked = false;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         2, SimDuration::Millis(10),
+                         [&](bool ok) { acked = ok; });
+  f.scheduler.Run();
+  EXPECT_TRUE(acked);
+  EXPECT_EQ(transport.stats().transmissions, 2U);
+  ASSERT_EQ(log.arrivals.size(), 2U);
+  EXPECT_TRUE(log.arrivals[0].handed_up);
+  EXPECT_FALSE(log.arrivals[1].handed_up);
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, OvertakingRetransmissionHandedUpOnce) {
+  // Heavy jitter: transmission 0 crawls, the retransmission fired at 5 ms
+  // overtakes it. The retransmission lands first and is handed up; the
+  // slow original lands later and must be suppressed. Neither is final
+  // (the retransmission has an earlier transmission still airborne).
+  Fixture f;
+  std::uint64_t seed = 0;
+  for (; seed < 100'000; ++seed) {
+    const std::uint64_t keyed = Rng(seed).Fork("keyed")();
+    const double u0 = KeyedUnit(keyed, 0, 0, 2);
+    const double u1 = KeyedUnit(keyed, 0, 1, 2);
+    // Arrivals at 1 + 18 u0 ms and 5 + 1 + 18 u1 ms.
+    if (u0 - u1 > 0.4) break;
+  }
+  ASSERT_LT(seed, 100'000U);
+  OverlayNetworkConfig net_config;
+  net_config.delay_jitter = 0.9;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0),
+                         net_config, Rng(seed));
+  ArrivalLog log(f.scheduler);
+  HopTransportConfig config;
+  config.observer = &log;
+  int deliveries = 0;
+  HopTransport transport(
+      network, [&](NodeId, const Packet&, NodeId) { ++deliveries; }, config);
+  bool acked = false;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         2, SimDuration::Millis(5),
+                         [&](bool ok) { acked = ok; });
+  f.scheduler.Run();
+  EXPECT_TRUE(acked);
+  ASSERT_EQ(log.arrivals.size(), 2U);
+  EXPECT_TRUE(log.arrivals[0].handed_up);
+  EXPECT_FALSE(log.arrivals[1].handed_up);
+  EXPECT_LT(log.arrivals[0].at, log.arrivals[1].at);
+  EXPECT_EQ(deliveries, 1);
+  // Both arrivals were non-final; the entry ages out with the rotations.
+  EXPECT_EQ(transport.stats().tracked_arrivals, 2U);
+  EXPECT_EQ(transport.dedup_table_entries(), 1U);
+  transport.ClearDedupState();
+  transport.ClearDedupState();
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, OvertakingUnderGrayDelayHandedUpOnce) {
+  // Same overtaking, driven by a gray episode's delay factor instead of
+  // jitter: a transmission sent inside the episode is slowed 4x; the
+  // retransmission fired after the episode ended overtakes it.
+  Fixture f;
+  GrayFailureConfig gray_config;
+  gray_config.probability = 0.5;
+  gray_config.extra_loss = 0.0;
+  gray_config.delay_factor = 4.0;
+  gray_config.epoch = SimDuration::Millis(20);
+  // Episode on (link 0, A->B) during [0, 20 ms) and none during
+  // [20 ms, 40 ms).
+  std::uint64_t gray_seed = 0;
+  for (; gray_seed < 100'000; ++gray_seed) {
+    const GrayFailureSchedule gray(gray_seed, gray_config);
+    if (gray.DelayFactor(f.link, LinkDirection::kAToB, SimTime::Zero()) ==
+            4.0 &&
+        gray.DelayFactor(f.link, LinkDirection::kAToB,
+                         SimTime::FromMicros(20'000)) == 1.0) {
+      break;
+    }
+  }
+  ASSERT_LT(gray_seed, 100'000U);
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0),
+                         OverlayNetworkConfig{}, Rng(1),
+                         NodeFailureSchedule(),
+                         GrayFailureSchedule(gray_seed, gray_config));
+  ArrivalLog log(f.scheduler);
+  HopTransportConfig config;
+  config.observer = &log;
+  int deliveries = 0;
+  HopTransport transport(
+      network, [&](NodeId, const Packet&, NodeId) { ++deliveries; }, config);
+  // Transmission 0 at 0 lands at 40 ms (ACK too, factor 0): the timer at
+  // 25 ms sends transmission 1 outside the episode, landing at 35 ms.
+  bool acked = false;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         2, SimDuration::Millis(25),
+                         [&](bool ok) { acked = ok; });
+  f.scheduler.Run();
+  EXPECT_TRUE(acked);
+  ASSERT_EQ(log.arrivals.size(), 2U);
+  EXPECT_EQ(log.arrivals[0].at, SimTime::FromMicros(35'000));
+  EXPECT_TRUE(log.arrivals[0].handed_up);
+  EXPECT_EQ(log.arrivals[1].at, SimTime::FromMicros(40'000));
+  EXPECT_FALSE(log.arrivals[1].handed_up);
+  EXPECT_EQ(deliveries, 1);
+}
+
+TEST(HopTransportDedupLifetimeTest, EpochRotationBetweenArrivals) {
+  // The rotation moves the first arrival's entry to the previous
+  // generation; the final retransmission still finds it there, is
+  // suppressed, and clears it.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.5,
+                         Rng(SeedWithLostFirstAck()));
+  int deliveries = 0;
+  HopTransport transport(network,
+                         [&](NodeId, const Packet&, NodeId) { ++deliveries; });
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         2, Fixture::Timeout(), [](bool) {});
+  // Transmission 0 lands at 10 ms, the retransmission at 31 ms.
+  f.scheduler.ScheduleAt(SimTime::FromMicros(15'000), [&] {
+    EXPECT_EQ(transport.dedup_table_entries(), 1U);
+    transport.ClearDedupState();
+    EXPECT_EQ(transport.dedup_table_entries(), 1U);
+  });
+  f.scheduler.Run();
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, ReceiverCrashBetweenArrivals) {
+  // A receiver crash voids its memory, so the retransmission after the
+  // crash is handed up again (the crash-aware checker budgets for it) —
+  // and leaves nothing behind.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.5,
+                         Rng(SeedWithLostFirstAck()));
+  int deliveries = 0;
+  HopTransport transport(network,
+                         [&](NodeId, const Packet&, NodeId) { ++deliveries; });
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         2, Fixture::Timeout(), [](bool) {});
+  f.scheduler.ScheduleAt(SimTime::FromMicros(15'000), [&] {
+    transport.OnBrokerCrash(NodeId(1));
+    EXPECT_EQ(transport.dedup_table_entries(), 0U);
+  });
+  f.scheduler.Run();
+  EXPECT_EQ(deliveries, 2);
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, LateAckAfterBudgetExhaustionStillCounts) {
+  // RTT 20 ms, timer 8 ms, m = 2: both transmissions go out, the budget
+  // expires at 16 ms with transmission 0's ACK still in flight. Its
+  // tombstone must be there for the ACK at 20 ms to yield an RTT sample
+  // and classify the retransmission as spurious.
+  Fixture f;
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.0,
+                         Rng(1), /*ack_delay_factor=*/1.0);
+  HopTransport transport(network, [](NodeId, const Packet&, NodeId) {});
+  bool done_called = false;
+  bool done_value = true;
+  std::size_t entries_at_done = 0;
+  transport.SendReliable(NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}),
+                         2, SimDuration::Millis(8), [&](bool ok) {
+                           done_called = true;
+                           done_value = ok;
+                           entries_at_done = transport.dedup_table_entries();
+                         });
+  f.scheduler.Run();
+  EXPECT_TRUE(done_called);
+  EXPECT_FALSE(done_value);
+  // At 16 ms: transmission 0's dedup entry (its retransmission lands at
+  // 18 ms) plus the tombstone.
+  EXPECT_EQ(entries_at_done, 2U);
+  const TransportStats stats = transport.stats();
+  EXPECT_EQ(stats.rtt_samples, 1U);
+  EXPECT_EQ(stats.spurious_retransmissions, 1U);
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, NoTombstoneWithoutAnAckInFlight) {
+  // Data lands but its only ACK drops: no ACK can ever come back, so the
+  // expired copy leaves no tombstone.
+  Fixture f;
+  const std::uint64_t copy = std::uint64_t{1} << 40;
+  std::uint64_t seed = 0;
+  for (; seed < 100'000; ++seed) {
+    const std::uint64_t keyed = Rng(seed).Fork("keyed")();
+    if (!KeyedBernoulli(0.5, keyed, 0, 0, 0) &&
+        KeyedBernoulli(0.5, keyed, 5, (copy << 4) | 0, 0)) {
+      break;
+    }
+  }
+  ASSERT_LT(seed, 100'000U);
+  OverlayNetwork network(f.graph, f.scheduler, FailureSchedule(1, 0.0), 0.5,
+                         Rng(seed));
+  HopTransport transport(network, [](NodeId, const Packet&, NodeId) {});
+  std::size_t entries_at_done = 1;
+  transport.SendReliable(
+      NodeId(0), f.link, Packet(TestMessage(), {NodeId(1)}), 1,
+      Fixture::Timeout(),
+      [&](bool) { entries_at_done = transport.dedup_table_entries(); });
+  f.scheduler.Run();
+  EXPECT_EQ(entries_at_done, 0U);
+  EXPECT_EQ(transport.dedup_table_entries(), 0U);
+}
+
+TEST(HopTransportDedupLifetimeTest, LossyLinksHoldOnlyNonFinalArrivals) {
+  // m = 2 over a lossy, flapping link with timely ACKs (no tombstones
+  // possible): at every instant the tables hold at most one entry per
+  // non-final arrival so far, and every hand-up decision matches a
+  // receiver that remembers every copy id forever.
+  Fixture f;
+  OverlayNetwork network = f.MakeNetwork(0.3, 0.3, /*seed=*/4);
+  ArrivalLog log(f.scheduler);
+  HopTransportConfig config;
+  config.observer = &log;
+  HopTransport* transport_ptr = nullptr;
+  bool bound_held = true;
+  const auto probe = [&] {
+    if (transport_ptr->dedup_table_entries() >
+        transport_ptr->stats().tracked_arrivals) {
+      bound_held = false;
+    }
+  };
+  HopTransport transport(
+      network, [&](NodeId, const Packet&, NodeId) { probe(); }, config);
+  transport_ptr = &transport;
+  for (int i = 0; i < 600; ++i) {
+    f.scheduler.ScheduleAt(SimTime::FromMicros(i * 3'000), [&] {
+      transport.SendReliable(NodeId(0), f.link,
+                             Packet(TestMessage(), {NodeId(1)}), 2,
+                             Fixture::Timeout(), [&](bool) { probe(); });
+    });
+  }
+  f.scheduler.Run();
+  EXPECT_TRUE(bound_held);
+  std::set<std::uint64_t> seen;
+  int duplicates = 0;
+  for (const ArrivalLog::Arrival& arrival : log.arrivals) {
+    const bool first_sight = seen.insert(arrival.copy_id).second;
+    EXPECT_EQ(arrival.handed_up, first_sight) << "copy " << arrival.copy_id;
+    if (!first_sight) ++duplicates;
+  }
+  const std::uint64_t tracked = transport.stats().tracked_arrivals;
+  EXPECT_GT(duplicates, 0);
+  EXPECT_GT(tracked, 0U);
+  // Most arrivals are final, so most leave nothing behind.
+  EXPECT_LT(tracked * 3, log.arrivals.size());
+  EXPECT_LE(transport.dedup_table_entries(), tracked);
+}
+
+// Two-shard harness: node 0 on shard 0 sends, node 1 on shard 1 receives,
+// so every data copy crosses the exchange as a kData XMsg. Windows of 1 ms
+// (below the 10 ms link delay) with a drain after each.
+struct TwoShards {
+  Graph graph = Line(2, SimDuration::Millis(10));
+  LinkId link = *graph.FindEdge(NodeId(0), NodeId(1));
+  ShardMap map{{0, 1}, 2};
+  ShardExchange exchange{2};
+  Scheduler scheduler0;
+  Scheduler scheduler1;
+
+  void Run(OverlayNetwork& network0, OverlayNetwork& network1,
+           SimTime until) {
+    for (std::int64_t t = 1'000; t <= until.micros(); t += 1'000) {
+      scheduler0.RunBefore(SimTime::FromMicros(t));
+      scheduler1.RunBefore(SimTime::FromMicros(t));
+      for (int src = 0; src < 2; ++src) {
+        OverlayNetwork& receiver = src == 0 ? network1 : network0;
+        for (std::size_t i = 0; i < exchange.Count(src, 1 - src); ++i) {
+          receiver.AcceptRemote(exchange.Message(src, 1 - src, i));
+        }
+        exchange.Reset(src, 1 - src);
+      }
+    }
+  }
+};
+
+TEST(HopTransportDedupLifetimeTest, FinalFlagCrossesShardsInRecycledSlots) {
+  // Copy A (m = 1) crosses as a final arrival and must leave the remote
+  // receiver's tables empty. Copy B (m = 2, first ACK lost) then reuses
+  // A's exchange slot and A's receiver-side wire slot: its first arrival
+  // is non-final and must be remembered, or the retransmission would be
+  // handed up a second time.
+  TwoShards s;
+  const std::uint64_t copy_b = (std::uint64_t{1} << 40) | 1;
+  std::uint64_t seed = 0;
+  for (; seed < 100'000; ++seed) {
+    const std::uint64_t keyed = Rng(seed).Fork("keyed")();
+    if (!KeyedBernoulli(0.5, keyed, 0, 0, 0) &&
+        !KeyedBernoulli(0.5, keyed, 0, 1, 0) &&
+        !KeyedBernoulli(0.5, keyed, 0, 2, 0) &&
+        KeyedBernoulli(0.5, keyed, 5, (copy_b << 4) | 0, 0)) {
+      break;
+    }
+  }
+  ASSERT_LT(seed, 100'000U);
+  OverlayNetwork network0(s.graph, s.scheduler0, FailureSchedule(1, 0.0), 0.5,
+                          Rng(seed));
+  OverlayNetwork network1(s.graph, s.scheduler1, FailureSchedule(1, 0.0), 0.5,
+                          Rng(seed));
+  network0.ConfigureSharding(&s.map, 0, &s.exchange);
+  network1.ConfigureSharding(&s.map, 1, &s.exchange);
+  HopTransport sender(network0, [](NodeId, const Packet&, NodeId) {
+    ADD_FAILURE() << "nothing is sent to node 0";
+  });
+  int deliveries = 0;
+  HopTransport receiver(network1,
+                        [&](NodeId, const Packet&, NodeId) { ++deliveries; });
+  sender.SendReliable(NodeId(0), s.link, Packet(TestMessage(), {NodeId(1)}),
+                      1, Fixture::Timeout(), [](bool) {});
+  s.Run(network0, network1, SimTime::FromMicros(50'000));
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(receiver.dedup_table_entries(), 0U);
+  sender.SendReliable(NodeId(0), s.link, Packet(TestMessage(), {NodeId(1)}),
+                      2, Fixture::Timeout(), [](bool) {});
+  s.Run(network0, network1, SimTime::FromMicros(150'000));
+  EXPECT_EQ(sender.stats().transmissions, 3U);
+  EXPECT_EQ(receiver.stats().tracked_arrivals, 1U);
+  EXPECT_EQ(deliveries, 2);
+  EXPECT_EQ(receiver.dedup_table_entries(), 0U);
 }
 
 }  // namespace
